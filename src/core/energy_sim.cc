@@ -1,27 +1,31 @@
 #include "core/energy_sim.h"
 
-#include <chrono>
+#include <algorithm>
 
 #include "core/replay_executor.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace strober {
 namespace core {
 
-namespace {
-
-double
-nowSeconds()
+const AsicProducts &
+AsicFlow::products()
 {
-    using clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(clock::now().time_since_epoch())
-        .count();
+    if (!built) {
+        auto p = std::make_unique<AsicProducts>();
+        p->synth = gate::synthesize(dsn);
+        p->placement = gate::place(p->synth.netlist);
+        p->match =
+            gate::matchDesigns(dsn, p->synth.netlist, p->synth.guide);
+        built = std::move(p);
+    }
+    return *built;
 }
 
-} // namespace
-
 EnergySimulator::EnergySimulator(const rtl::Design &target, Config config)
-    : dsn(target), cfg(config), fame(fame::fame1Transform(target))
+    : dsn(target), cfg(config), fame(fame::fame1Transform(target)),
+      asic(target)
 {
     resetSampling();
 }
@@ -43,11 +47,18 @@ EnergySimulator::resetSampling()
 RunStats
 EnergySimulator::run(HostDriver &driver, uint64_t maxCycles)
 {
+    return runFastSim(driver, maxCycles, cfg.earlyStopProbe);
+}
+
+RunStats
+EnergySimulator::runFastSim(HostDriver &driver, uint64_t maxCycles,
+                            const std::function<bool()> &stopProbe)
+{
     RunStats stats;
-    double start = nowSeconds();
+    double start = util::monotonicSeconds();
     fame::TokenSimulator &tsim = fameHarness->tokenSim();
     uint64_t nextService = cfg.hostServiceInterval;
-    uint64_t nextProbe = cfg.earlyStopProbe ? cfg.replayLength : 0;
+    uint64_t nextProbe = stopProbe ? cfg.replayLength : 0;
     while (!driver.done() && tsim.targetCycles() < maxCycles) {
         driver.drive(*fameHarness);
         fameHarness->clock();
@@ -57,12 +68,12 @@ EnergySimulator::run(HostDriver &driver, uint64_t maxCycles)
             nextService += cfg.hostServiceInterval;
         }
         if (nextProbe != 0 && tsim.targetCycles() >= nextProbe) {
-            if (cfg.earlyStopProbe())
+            if (stopProbe())
                 break;
             nextProbe += cfg.replayLength;
         }
     }
-    stats.wallSeconds = nowSeconds() - start;
+    stats.wallSeconds = util::monotonicSeconds() - start;
     stats.targetCycles = tsim.targetCycles();
     stats.hostCycles = tsim.hostCycles();
     stats.recordCount = snapSampler->recordCount();
@@ -76,36 +87,17 @@ EnergySimulator::run(HostDriver &driver, uint64_t maxCycles)
     return stats;
 }
 
-void
-EnergySimulator::buildAsicFlow()
+ReplayContext
+EnergySimulator::replayContext()
 {
-    if (synth)
-        return;
-    synth = std::make_unique<gate::SynthesisResult>(gate::synthesize(dsn));
-    placed = std::make_unique<gate::Placement>(gate::place(synth->netlist));
-    match = std::make_unique<gate::MatchTable>(
-        gate::matchDesigns(dsn, synth->netlist, synth->guide));
-}
-
-const gate::SynthesisResult &
-EnergySimulator::synthesis()
-{
-    buildAsicFlow();
-    return *synth;
-}
-
-const gate::Placement &
-EnergySimulator::placement()
-{
-    buildAsicFlow();
-    return *placed;
-}
-
-const gate::MatchTable &
-EnergySimulator::matchTable()
-{
-    buildAsicFlow();
-    return *match;
+    const AsicProducts &p = asic.products();
+    return ReplayContext{dsn,
+                         p.synth,
+                         p.placement,
+                         p.match,
+                         snapSampler->chains(),
+                         cfg,
+                         resolveReplayBudget(cfg, p.synth)};
 }
 
 const char *
@@ -155,7 +147,7 @@ EnergySimulator::markShortRun(EnergyReport &report) const
 EnergyReport
 EnergySimulator::estimate()
 {
-    buildAsicFlow();
+    ReplayContext ctx = replayContext();
     EnergyReport report;
 
     auto snapshots = snapSampler->snapshots();
@@ -165,29 +157,129 @@ EnergySimulator::estimate()
     if (markShortRun(report))
         return report;
 
-    double start = nowSeconds();
-
-    std::vector<ReplayUnit> units(snapshots.size());
-    for (size_t i = 0; i < snapshots.size(); ++i)
-        units[i] = ReplayUnit{i, snapshots[i]};
-    std::vector<ReplayRecord> records(units.size());
-
-    ReplayContext ctx{dsn,
-                      *synth,
-                      *placed,
-                      *match,
-                      snapSampler->chains(),
-                      cfg,
-                      resolveReplayBudget(cfg, *synth)};
-    InProcessReplayExecutor builtin;
-    ReplayExecutor &executor =
-        cfg.replayExecutor ? *cfg.replayExecutor : builtin;
-    executor.replayAll(ctx, units, records);
+    double start = util::monotonicSeconds();
+    // A phased run is a stream whose feed closes before replay ends.
+    // The sampler owns the snapshots, so the published pointers are
+    // non-owning.
+    ReplayEngine engine(
+        ctx, cfg.replayExecutor,
+        std::min<unsigned>(std::max(1u, cfg.parallelReplays),
+                           snapshots.size()),
+        snapshots.size());
+    for (size_t i = 0; i < snapshots.size(); ++i) {
+        engine.onSnapshotReady(
+            i, 1,
+            std::shared_ptr<const fame::ReplayableSnapshot>(
+                std::shared_ptr<void>(), snapshots[i]));
+    }
+    engine.finish();
 
     uint64_t population = report.population;
-    report = aggregateReplayRecords(std::move(records), population, cfg);
-    report.replayWallSeconds = nowSeconds() - start;
+    report = aggregateReplayRecords(engine.takeAll(), population, cfg);
+    report.replayWallSeconds = util::monotonicSeconds() - start;
     report.fastSimWallSeconds = lastFastSimWall;
+    return report;
+}
+
+EnergyReport
+EnergySimulator::estimateStreaming(HostDriver &driver, uint64_t maxCycles,
+                                   RunStats *outRun)
+{
+    // The ASIC-flow products are independent of the fast sim (pipeline
+    // step 2) and replay consumes them immediately, so build them
+    // before the clock starts.
+    ReplayContext ctx = replayContext();
+    // The queue bound covers the reservoir and an eviction frees its
+    // queued item first, so publishing never blocks the fast sim.
+    ReplayEngine engine(ctx, cfg.replayExecutor,
+                        std::max(1u, cfg.parallelReplays),
+                        cfg.sampleSize + 1);
+    snapSampler->setObserver(&engine);
+
+    // Adaptive termination: the CI-bound rule over the completed
+    // current-generation replays, at every interval boundary of the
+    // fast sim and then between completions while the queue drains.
+    auto ciBoundMet = [&](uint64_t population) {
+        return stats::ciBoundMet(engine.completedPower(), cfg.ciBound,
+                                 cfg.confidence,
+                                 std::max<uint64_t>(population, 1),
+                                 cfg.sampleSize);
+    };
+    bool earlyStopped = false;
+    std::function<bool()> probe;
+    if (cfg.ciBound > 0) {
+        probe = [&] {
+            earlyStopped = ciBoundMet(
+                fameHarness->tokenSim().targetCycles() / cfg.replayLength);
+            return earlyStopped;
+        };
+    }
+    double t0 = util::monotonicSeconds();
+    RunStats rstats = runFastSim(driver, maxCycles, probe);
+    if (outRun)
+        *outRun = rstats;
+
+    // Publish a capture that completed exactly at the final cycle.
+    snapSampler->flushPending();
+
+    uint64_t population = lastRunCycles / cfg.replayLength;
+    // Stopping the replay side alone still saves the remaining replays.
+    while (cfg.ciBound > 0 && !earlyStopped && !engine.waitIdle(5))
+        earlyStopped = ciBoundMet(population);
+    if (earlyStopped)
+        engine.cancelQueued();
+    engine.finish();
+    snapSampler->setObserver(nullptr);
+
+    std::vector<ReplayRecord> records;
+    if (earlyStopped) {
+        // The frozen decision set: completed current-generation
+        // replays, slot order. Reindex compactly for the rendering.
+        records = engine.takeAll();
+        for (size_t i = 0; i < records.size(); ++i)
+            records[i].outcome.index = i;
+    } else {
+        auto snapshots = snapSampler->snapshots();
+        std::vector<size_t> slots = snapSampler->completeSlots();
+        EnergyReport report;
+        report.population = population;
+        report.snapshots = snapshots.size();
+        report.fastSimWallSeconds = lastFastSimWall;
+        report.supersededReplays = engine.stats().superseded();
+        if (markShortRun(report))
+            return report;
+        records.resize(snapshots.size());
+        for (size_t i = 0; i < snapshots.size(); ++i) {
+            std::optional<ReplayRecord> rec =
+                engine.take(slots[i], snapSampler->generationOf(slots[i]));
+            // Under a fault-injection stall plan the replay itself is a
+            // function of the sample index, so a record replayed under
+            // a shifted provisional index (slot != final compacted
+            // index, possible when an incomplete trailing capture
+            // vacates an earlier slot) must be redone with the real
+            // one. Without a stall plan the index is labeling only.
+            if (rec && (cfg.stallPlan == nullptr || slots[i] == i)) {
+                rec->outcome.index = i;
+                records[i] = std::move(*rec);
+            } else {
+                records[i] = engine.replayInline(ReplayUnit{i, snapshots[i]});
+            }
+        }
+    }
+
+    ReplayEngine::Stats ss = engine.stats();
+    EnergyReport report = aggregateReplayRecords(
+        std::move(records), std::max<uint64_t>(population, 1), cfg);
+    double replayEnd = util::monotonicSeconds();
+    double fastEndAbs = t0 + lastFastSimWall;
+    double replayStart =
+        ss.firstReplayStart > 0 ? ss.firstReplayStart : fastEndAbs;
+    report.fastSimWallSeconds = lastFastSimWall;
+    report.replayWallSeconds = replayEnd - replayStart;
+    report.overlapWallSeconds = std::max(
+        0.0, std::min(fastEndAbs, ss.lastReplayEnd) - replayStart);
+    report.earlyStopped = earlyStopped;
+    report.supersededReplays = ss.superseded();
     return report;
 }
 

@@ -45,7 +45,8 @@ class StallPlan;
 
 namespace core {
 
-class ReplayExecutor;
+class ReplayStore;
+struct ReplayContext;
 struct JobControl;
 
 /** Performance results of the fast simulation phase. */
@@ -148,6 +149,30 @@ struct EnergyReport
     }
 };
 
+/** The ASIC-flow products of one design (pipeline step 2). */
+struct AsicProducts
+{
+    gate::SynthesisResult synth;
+    gate::Placement placement;
+    gate::MatchTable match;
+};
+
+/**
+ * Synthesis → placement → RTL/gate matching of one design, run once on
+ * first use (EnergySimulator and farm::FarmOrchestrator each own one).
+ */
+class AsicFlow
+{
+  public:
+    explicit AsicFlow(const rtl::Design &target) : dsn(target) {}
+
+    const AsicProducts &products();
+
+  private:
+    const rtl::Design &dsn;
+    std::unique_ptr<AsicProducts> built;
+};
+
 /** End-to-end sample-based energy simulation of one design. */
 class EnergySimulator
 {
@@ -204,12 +229,13 @@ class EnergySimulator
         const inject::StallPlan *stallPlan = nullptr;
 
         // --- Replay orchestration (src/farm) ----------------------------
-        /** Pluggable replay execution for estimate(): nullptr runs the
-         *  built-in in-process strided workers; a farm::CachingReplayExecutor
-         *  adds a persistent content-addressed result cache so a warm
-         *  re-estimate of an unchanged design replays nothing. Any
-         *  executor must produce bit-identical reports (not owned). */
-        ReplayExecutor *replayExecutor = nullptr;
+        /** Optional result store the replay engine consults in both
+         *  estimate() and estimateStreaming(): a farm::
+         *  CachingReplayExecutor adds a persistent content-addressed
+         *  result cache so a warm re-estimate of an unchanged design
+         *  replays nothing. Any store must produce bit-identical
+         *  reports (not owned). */
+        ReplayStore *replayExecutor = nullptr;
         /** Optional job-scoped cancel/deadline flags (core/job_control.h,
          *  not owned). A passed deadline turns not-yet-started replays
          *  into deterministic TimedOut outcomes (degraded report); a
@@ -219,7 +245,7 @@ class EnergySimulator
          *  stores to while replay threads poll. */
         JobControl *job = nullptr;
 
-        // --- Streaming / adaptive termination (src/core/streaming.h) ----
+        // --- Streaming / adaptive termination (core::ReplayEngine) -------
         /** Adaptive accuracy knob for streamed runs: stop the fast sim
          *  AND the replay stream as soon as the Section III-A estimate's
          *  relativeError() (CI half-width over mean) drops below this
@@ -233,8 +259,8 @@ class EnergySimulator
          *  fast sim there (the caller performs its own CI-bound check,
          *  e.g. over farm::StreamFeed completions, and throttles
          *  itself). Null = run to the driver/cycle-budget end.
-         *  estimateStreaming() ignores it — the in-process pipeline has
-         *  its own built-in check. Excluded from the replay cache
+         *  estimateStreaming() ignores it — it probes the engine's
+         *  ciBound check at the same point. Excluded from the replay cache
          *  fingerprint (an aggregation/termination knob, never a
          *  replay input). */
         std::function<bool()> earlyStopProbe;
@@ -259,14 +285,13 @@ class EnergySimulator
     /**
      * Streamed pipeline: phases 1 and 3 run concurrently — snapshots
      * replay on cfg.parallelReplays worker threads while the fast sim
-     * is still producing them (src/core/streaming.h), so end-to-end
-     * latency approaches max(fast-sim, replay) instead of the sum.
-     * Replaces run() + estimate() for one workload. With cfg.ciBound
-     * == 0 the report is byte-identical (deterministic rendering) to
-     * the phased path for any worker count; with a bound set, the run
-     * stops early once the CI is tight enough and report.earlyStopped
-     * records it. cfg.replayExecutor is not consulted (the stream has
-     * its own workers); use the farm's stream feed for cached runs.
+     * (run()'s loop) is still producing them, so end-to-end latency
+     * approaches max(fast-sim, replay) instead of the sum. Replaces
+     * run() + estimate() for one workload. With cfg.ciBound == 0 the
+     * report is byte-identical (deterministic rendering) to the phased
+     * path for any worker count and any cfg.replayExecutor; with a
+     * bound set, the run stops early once the CI is tight enough and
+     * report.earlyStopped records it.
      */
     EnergyReport estimateStreaming(HostDriver &driver, uint64_t maxCycles,
                                    RunStats *outRun = nullptr);
@@ -278,9 +303,9 @@ class EnergySimulator
     const fame::Fame1Design &fameDesign() const { return fame; }
     FameHarness &harness() { return *fameHarness; }
     fame::SnapshotSampler &sampler() { return *snapSampler; }
-    const gate::SynthesisResult &synthesis();
-    const gate::Placement &placement();
-    const gate::MatchTable &matchTable();
+    const gate::SynthesisResult &synthesis() { return asic.products().synth; }
+    const gate::Placement &placement() { return asic.products().placement; }
+    const gate::MatchTable &matchTable() { return asic.products().match; }
     const Config &config() const { return cfg; }
     const rtl::Design &target() const { return dsn; }
 
@@ -290,16 +315,17 @@ class EnergySimulator
     fame::Fame1Design fame;
     std::unique_ptr<fame::SnapshotSampler> snapSampler;
     std::unique_ptr<FameHarness> fameHarness;
-
-    // Lazily-built ASIC-flow products.
-    std::unique_ptr<gate::SynthesisResult> synth;
-    std::unique_ptr<gate::Placement> placed;
-    std::unique_ptr<gate::MatchTable> match;
+    AsicFlow asic;
 
     uint64_t lastRunCycles = 0;
     double lastFastSimWall = 0;
 
-    void buildAsicFlow();
+    /** run()'s loop: @p stopProbe (if set) is polled at every
+     *  replay-interval boundary and ends the fast sim when true. */
+    RunStats runFastSim(HostDriver &driver, uint64_t maxCycles,
+                        const std::function<bool()> &stopProbe);
+    /** Replay context over this run's snapshots (builds the ASIC flow). */
+    ReplayContext replayContext();
     /** Shared short-run guard: population/snapshots must already be
      *  set; marks the report invalid (with the canonical status
      *  message) and returns true when there is nothing to estimate. */

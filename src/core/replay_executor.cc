@@ -1,12 +1,13 @@
 #include "core/replay_executor.h"
 
 #include <algorithm>
+#include <chrono>
 #include <exception>
 #include <map>
-#include <thread>
 
 #include "core/job_control.h"
 #include "inject/fault_injector.h"
+#include "util/env.h"
 #include "util/logging.h"
 
 namespace strober {
@@ -112,33 +113,194 @@ replaySnapshot(gate::GateSimulator &gsim, const ReplayContext &ctx,
     return out;
 }
 
-void
-InProcessReplayExecutor::replayAll(const ReplayContext &ctx,
-                                   const std::vector<ReplayUnit> &units,
-                                   std::vector<ReplayRecord> &records)
+ReplayEngine::ReplayEngine(const ReplayContext &ctx, ReplayStore *store,
+                           unsigned workerCount, size_t queueBound)
+    : ctx(ctx), store(store), bound(std::max<size_t>(queueBound, 1))
 {
-    if (units.empty())
+    if (store)
+        store->bind(ctx);
+    unsigned n = std::max(1u, workerCount);
+    workers.reserve(n);
+    for (unsigned i = 0; i < n; ++i)
+        workers.emplace_back([this] { workerMain(); });
+}
+
+ReplayEngine::~ReplayEngine()
+{
+    finish();
+}
+
+void
+ReplayEngine::onSnapshotReady(
+    size_t slot, uint64_t generation,
+    std::shared_ptr<const fame::ReplayableSnapshot> snap)
+{
+    std::unique_lock<std::mutex> lk(mtx);
+    // Backpressure: a streamed run's bound covers the reservoir and
+    // eviction dequeues eagerly, so this wait only ever fires when
+    // replay is pathologically slower than capture.
+    spaceCv.wait(lk, [&] { return queue.size() < bound || closed; });
+    if (closed)
         return;
-    // Snapshots are independent (paper Section III-B), so fan the
-    // replays out over P gate-level simulator instances. Each worker
-    // owns a fixed stride of unit indices and all per-snapshot state is
-    // slot-indexed, so aggregation is bit-identical for any P.
-    unsigned parallel = std::max(1u, ctx.cfg.parallelReplays);
-    parallel = std::min<unsigned>(parallel, units.size());
-    auto worker = [&](unsigned workerIdx) {
-        gate::GateSimulator gsim(ctx.synth.netlist);
-        for (size_t i = workerIdx; i < units.size(); i += parallel)
-            records[i] = replaySnapshot(gsim, ctx, units[i]);
+    if (slot >= slots.size())
+        slots.resize(slot + 1);
+    slots[slot].live = generation;
+    queue.push_back(Item{slot, generation, std::move(snap)});
+    readyCv.notify_one();
+}
+
+void
+ReplayEngine::onSlotEvicted(size_t slot, uint64_t generation)
+{
+    std::lock_guard<std::mutex> lk(mtx);
+    if (slot >= slots.size() || slots[slot].live != generation)
+        return; // never published: the feed was already closed
+    Slot &s = slots[slot];
+    s.live = 0;
+    auto queued = std::find_if(queue.begin(), queue.end(), [&](const Item &it) {
+        return it.slot == slot && it.generation == generation;
+    });
+    if (queued != queue.end()) {
+        queue.erase(queued);
+        ++counters.supersededQueued;
+        spaceCv.notify_one();
+    } else if (s.done) {
+        s.done = false;
+        s.record = ReplayRecord();
+        ++counters.supersededResults;
+    }
+    // Otherwise the capture is replaying right now; its worker finds the
+    // slot moved on and discards the result.
+}
+
+ReplayRecord
+ReplayEngine::replay(std::unique_ptr<gate::GateSimulator> &gsim,
+                     const ReplayUnit &unit)
+{
+    // Built lazily: store hits and idle workers never pay for a
+    // gate-level simulator.
+    auto run = [&] {
+        if (!gsim)
+            gsim = std::make_unique<gate::GateSimulator>(ctx.synth.netlist);
+        return replaySnapshot(*gsim, ctx, unit);
     };
-    if (parallel == 1) {
-        worker(0);
-    } else {
-        std::vector<std::thread> threads;
-        for (unsigned t = 0; t < parallel; ++t)
-            threads.emplace_back(worker, t);
-        for (std::thread &t : threads)
+    return store ? store->fetch(ctx, unit, run) : run();
+}
+
+void
+ReplayEngine::workerMain()
+{
+    std::unique_ptr<gate::GateSimulator> gsim;
+    for (;;) {
+        Item item;
+        {
+            std::unique_lock<std::mutex> lk(mtx);
+            readyCv.wait(lk, [&] { return !queue.empty() || closed; });
+            if (queue.empty())
+                return;
+            item = std::move(queue.front());
+            queue.pop_front();
+            ++inFlight;
+            if (counters.firstReplayStart == 0)
+                counters.firstReplayStart = util::monotonicSeconds();
+            spaceCv.notify_one();
+        }
+        // The slot is the provisional sample index; estimateStreaming()
+        // maps it to the final compacted one.
+        ReplayRecord rec = replay(gsim, ReplayUnit{item.slot, item.snap.get()});
+        std::lock_guard<std::mutex> lk(mtx);
+        --inFlight;
+        counters.lastReplayEnd = util::monotonicSeconds();
+        Slot &s = slots[item.slot];
+        if (s.live == item.generation) {
+            s.record = std::move(rec);
+            s.done = true;
+        } else {
+            ++counters.supersededResults;
+        }
+        doneCv.notify_all();
+    }
+}
+
+stats::SampleStats
+ReplayEngine::completedPower() const
+{
+    std::lock_guard<std::mutex> lk(mtx);
+    stats::SampleStats power;
+    for (const Slot &s : slots) {
+        if (s.done && s.record.outcome.replayed())
+            power.add(s.record.totalWatts);
+    }
+    return power;
+}
+
+void
+ReplayEngine::cancelQueued()
+{
+    std::lock_guard<std::mutex> lk(mtx);
+    queue.clear();
+    spaceCv.notify_all();
+}
+
+bool
+ReplayEngine::waitIdle(uint64_t maxWaitMs)
+{
+    std::unique_lock<std::mutex> lk(mtx);
+    return doneCv.wait_for(lk, std::chrono::milliseconds(maxWaitMs), [&] {
+        return queue.empty() && inFlight == 0;
+    });
+}
+
+void
+ReplayEngine::finish()
+{
+    {
+        std::lock_guard<std::mutex> lk(mtx);
+        closed = true;
+        readyCv.notify_all();
+        spaceCv.notify_all();
+    }
+    for (std::thread &t : workers) {
+        if (t.joinable())
             t.join();
     }
+}
+
+std::optional<ReplayRecord>
+ReplayEngine::take(size_t slot, uint64_t generation)
+{
+    std::lock_guard<std::mutex> lk(mtx);
+    if (slot >= slots.size() || slots[slot].live != generation ||
+        !slots[slot].done)
+        return std::nullopt;
+    slots[slot].done = false;
+    return std::move(slots[slot].record);
+}
+
+std::vector<ReplayRecord>
+ReplayEngine::takeAll()
+{
+    std::lock_guard<std::mutex> lk(mtx);
+    std::vector<ReplayRecord> out;
+    for (Slot &s : slots) {
+        if (s.done)
+            out.push_back(std::move(s.record));
+        s.done = false;
+    }
+    return out;
+}
+
+ReplayRecord
+ReplayEngine::replayInline(const ReplayUnit &unit)
+{
+    return replay(inlineSim, unit);
+}
+
+ReplayEngine::Stats
+ReplayEngine::stats() const
+{
+    std::lock_guard<std::mutex> lk(mtx);
+    return counters;
 }
 
 EnergyReport

@@ -1,13 +1,14 @@
 /**
  * @file
- * Pluggable replay execution for EnergySimulator::estimate() (paper
- * Section III-B / IV-E: snapshots are independent, so *how* they are
- * replayed — one thread, P strided threads, a multi-process farm with a
- * persistent result cache — must not change the numbers).
+ * The one replay engine behind EnergySimulator::estimate() and
+ * estimateStreaming() (paper Section III-B / IV-E: snapshots are
+ * independent, so *how* they are replayed — one thread, P worker
+ * threads, a multi-process farm with a persistent result cache — must
+ * not change the numbers).
  *
- * The contract every executor must honor: records[i] is a pure function
+ * The contract every replay path honors: records[i] is a pure function
  * of (snapshot i, design products, replay-relevant config). Aggregation
- * runs in snapshot order over the records, so any executor that fills
+ * runs in snapshot order over the records, so any schedule that fills
  * each slot with that pure-function value yields a report bit-identical
  * to the single-threaded reference — for any worker count, any shard
  * assignment, and any cache hit pattern (tests/test_farm.cc locks this
@@ -17,10 +18,18 @@
 #ifndef STROBER_CORE_REPLAY_EXECUTOR_H
 #define STROBER_CORE_REPLAY_EXECUTOR_H
 
+#include <condition_variable>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/energy_sim.h"
+#include "fame/sampler.h"
 
 namespace strober {
 namespace core {
@@ -33,11 +42,11 @@ struct ReplayUnit
 };
 
 /**
- * The per-snapshot value an executor must produce: the outcome record
- * plus the power numbers of a verified replay. `fromCache` marks
- * results served by a farm::ResultCache instead of a fresh gate-level
- * replay; it feeds the report's hit/miss accounting only and never
- * changes the numbers.
+ * The per-snapshot value a replay must produce: the outcome record plus
+ * the power numbers of a verified replay. `fromCache` marks results
+ * served by a ReplayStore instead of a fresh gate-level replay; it
+ * feeds the report's hit/miss accounting only and never changes the
+ * numbers.
  */
 struct ReplayRecord
 {
@@ -56,7 +65,7 @@ struct ReplayContext
     const gate::Placement &placement;
     const gate::MatchTable &match;
     /** Capture geometry of the snapshots (content-digest input for
-     *  caching executors; replay itself does not consume it). */
+     *  result stores; replay itself does not consume it). */
     const fame::ScanChains &chains;
     const EnergySimulator::Config &cfg;
     uint64_t cycleBudget = 0; //!< resolved watchdog budget (never 0)
@@ -74,43 +83,159 @@ uint64_t resolveReplayBudget(const EnergySimulator::Config &cfg,
  * Replay one snapshot with the full fault-handling path: bounded retry
  * on the alternate loader, watchdog, divergence classification,
  * exception containment, power analysis of a verified replay. This is
- * THE per-snapshot pure function; every executor (in-process threads,
+ * THE per-snapshot pure function; every replay path (engine workers,
  * farm worker processes) funnels through it.
  */
 ReplayRecord replaySnapshot(gate::GateSimulator &gsim,
                             const ReplayContext &ctx,
                             const ReplayUnit &unit);
 
-/** Replays a batch of snapshots, one record per unit. */
-class ReplayExecutor
+/**
+ * Optional result store the engine consults (Config::replayExecutor):
+ * a hit stands in for a gate-level replay, a verified miss is stored.
+ * A hit must be the record a fresh replay would produce (farm::
+ * CachingReplayExecutor keys a content-addressed cache on every replay
+ * input), so a store never changes the numbers.
+ */
+class ReplayStore
 {
   public:
-    virtual ~ReplayExecutor() = default;
+    using Replay = std::function<ReplayRecord()>;
 
-    /** Short stable name for diagnostics ("in-process", "caching"). */
-    virtual const char *name() const = 0;
+    virtual ~ReplayStore() = default;
+
+    /** Called once per engine, before any fetch(), with the context
+     *  every following fetch() shares. */
+    virtual void bind(const ReplayContext &ctx) = 0;
 
     /**
-     * Fill records[k] for units[k]. @p records arrives pre-sized to
-     * units.size(); executors must write every slot.
+     * The record for @p unit: a stored one (fromCache set, outcome.index
+     * = unit.index), or the result of @p replay, stored when verified.
+     * Called concurrently from the engine's workers.
      */
-    virtual void replayAll(const ReplayContext &ctx,
-                           const std::vector<ReplayUnit> &units,
-                           std::vector<ReplayRecord> &records) = 0;
+    virtual ReplayRecord fetch(const ReplayContext &ctx,
+                               const ReplayUnit &unit,
+                               const Replay &replay) = 0;
 };
 
 /**
- * The default executor: cfg.parallelReplays strided worker threads,
- * each owning a private GateSimulator (exactly the historical
- * estimate() loop).
+ * The replay engine: a bounded queue of (slot, generation, snapshot)
+ * items drained by worker threads, each lazily building its own
+ * gate-level simulator and funnelling every item through the store (if
+ * any) and replaySnapshot(). Records are slot-indexed.
+ *
+ * The feed is the fame::SampleObserver protocol, so estimateStreaming()
+ * installs the engine on the sampler and replay overlaps the fast sim:
+ * an eviction dequeues the superseded capture if it has not started, or
+ * discards its result if it has; either way a superseded generation
+ * never reaches the report. Phased estimate() is the same stream with
+ * every unit published up front and the feed closed right after.
+ * Feed calls come from one producer thread; all shared state sits
+ * behind one mutex (the critical sections are tiny next to a replay).
  */
-class InProcessReplayExecutor : public ReplayExecutor
+class ReplayEngine : public fame::SampleObserver
 {
   public:
-    const char *name() const override { return "in-process"; }
-    void replayAll(const ReplayContext &ctx,
-                   const std::vector<ReplayUnit> &units,
-                   std::vector<ReplayRecord> &records) override;
+    /** Counters of one run (report fields). */
+    struct Stats
+    {
+        uint64_t supersededQueued = 0;  //!< evicted before replay started
+        uint64_t supersededResults = 0; //!< evicted during/after replay
+        double firstReplayStart = 0;    //!< monotonic s (0 = no replay)
+        double lastReplayEnd = 0;
+
+        uint64_t superseded() const
+        {
+            return supersededQueued + supersededResults;
+        }
+    };
+
+    /**
+     * @p ctx and @p store (optional) must outlive the engine. Starts
+     * max(@p workers, 1) replay threads. The queue holds at most
+     * @p queueBound items; publishing into a full queue blocks.
+     */
+    ReplayEngine(const ReplayContext &ctx, ReplayStore *store,
+                 unsigned workers, size_t queueBound);
+    ~ReplayEngine() override;
+
+    ReplayEngine(const ReplayEngine &) = delete;
+    ReplayEngine &operator=(const ReplayEngine &) = delete;
+
+    // fame::SampleObserver: the feed.
+    void onSnapshotReady(size_t slot, uint64_t generation,
+                         std::shared_ptr<const fame::ReplayableSnapshot>
+                             snap) override;
+    void onSlotEvicted(size_t slot, uint64_t generation) override;
+
+    /** Total power of every completed current-generation verified
+     *  replay, slot order (the adaptive-termination input). */
+    stats::SampleStats completedPower() const;
+
+    /** Early stop: drop everything still queued. In-flight replays
+     *  finish and are kept. */
+    void cancelQueued();
+
+    /** Block until nothing is queued or in flight, or @p maxWaitMs
+     *  passed. @return true when idle. */
+    bool waitIdle(uint64_t maxWaitMs);
+
+    /** Close the feed, drain the queue and join the workers.
+     *  Idempotent; the destructor calls it too. */
+    void finish();
+
+    /** Post-finish: move out the record of capture (@p slot,
+     *  @p generation); empty if that capture never completed replay
+     *  (canceled, superseded, or published after finish()). */
+    std::optional<ReplayRecord> take(size_t slot, uint64_t generation);
+
+    /** Post-finish: move out every completed current record, slot
+     *  order. */
+    std::vector<ReplayRecord> takeAll();
+
+    /** Post-finish: replay @p unit on the calling thread, through the
+     *  store (the streamed run's fixup tail). */
+    ReplayRecord replayInline(const ReplayUnit &unit);
+
+    Stats stats() const;
+
+  private:
+    struct Item
+    {
+        size_t slot;
+        uint64_t generation;
+        std::shared_ptr<const fame::ReplayableSnapshot> snap;
+    };
+
+    /** One reservoir slot: its live generation (0 = none) and, once
+     *  replayed, that generation's record. */
+    struct Slot
+    {
+        uint64_t live = 0;
+        bool done = false;
+        ReplayRecord record;
+    };
+
+    void workerMain();
+    ReplayRecord replay(std::unique_ptr<gate::GateSimulator> &gsim,
+                        const ReplayUnit &unit);
+
+    const ReplayContext &ctx;
+    ReplayStore *store;
+    size_t bound;
+    std::unique_ptr<gate::GateSimulator> inlineSim; //!< replayInline only
+
+    mutable std::mutex mtx;
+    std::condition_variable readyCv; //!< queue gained work / closed
+    std::condition_variable spaceCv; //!< queue has room again
+    std::condition_variable doneCv;  //!< a replay completed / went idle
+    std::deque<Item> queue;
+    std::vector<Slot> slots;
+    Stats counters;
+    unsigned inFlight = 0;
+    bool closed = false;
+
+    std::vector<std::thread> workers;
 };
 
 /**

@@ -13,7 +13,7 @@
  * Streaming: an optional SampleObserver receives every snapshot the
  * moment its L-cycle trace completes, plus an eviction notice whenever
  * reservoir replacement supersedes a previously published capture. This
- * is the seam the streaming replay pipeline (src/core/streaming.h) and
+ * is the seam the in-process replay engine (core::ReplayEngine) and
  * the farm stream feed (src/farm/stream.h) hang off so replay can
  * overlap the ongoing fast simulation. Slots hold shared_ptrs so an
  * in-flight replay of an evicted snapshot stays valid after the slot is

@@ -48,63 +48,42 @@ classifySnapshotFileError(ErrorCode code)
 // CachingReplayExecutor
 
 void
-CachingReplayExecutor::replayAll(const core::ReplayContext &ctx,
-                                 const std::vector<ReplayUnit> &units,
-                                 std::vector<ReplayRecord> &records)
+CachingReplayExecutor::bind(const core::ReplayContext &ctx)
 {
-    if (units.empty())
-        return;
-    uint64_t netFp = gate::netlistFingerprint(ctx.synth.netlist);
-    uint64_t cfgFp = replayConfigFingerprint(ctx.cfg);
+    netlistFp = gate::netlistFingerprint(ctx.synth.netlist);
+    configFp = replayConfigFingerprint(ctx.cfg);
+}
 
-    // Serve what the cache already has; collect the rest for a normal
-    // in-process batch replay.
-    std::vector<CacheKey> keys(units.size());
-    std::vector<bool> keyed(units.size(), false);
-    std::vector<ReplayUnit> missUnits;
-    std::vector<size_t> missSlots;
-    for (size_t i = 0; i < units.size(); ++i) {
-        uint64_t stalls = ctx.cfg.stallPlan
-                              ? ctx.cfg.stallPlan->stallFor(units[i].index)
-                              : 0;
-        Result<fame::SnapshotDigest> digest =
-            fame::snapshotDigest(ctx.chains, *units[i].snap);
-        if (!digest.isOk()) {
-            // Undigestible snapshot: replay it uncached — the replay
-            // path owns the quarantine decision, not the cache.
-            missUnits.push_back(units[i]);
-            missSlots.push_back(i);
-            continue;
-        }
-        keys[i] = makeCacheKey(*digest, netFp, cfgFp,
-                               power::kPowerModelVersion, stalls);
-        keyed[i] = true;
-        std::optional<ReplayRecord> hit = store.lookup(keys[i]);
+ReplayRecord
+CachingReplayExecutor::fetch(const core::ReplayContext &ctx,
+                             const ReplayUnit &unit, const Replay &replay)
+{
+    // An undigestible snapshot replays uncached: the replay path owns
+    // the quarantine decision, not the cache.
+    std::optional<CacheKey> key;
+    Result<fame::SnapshotDigest> digest =
+        fame::snapshotDigest(ctx.chains, *unit.snap);
+    if (digest.isOk()) {
+        uint64_t stalls =
+            ctx.cfg.stallPlan ? ctx.cfg.stallPlan->stallFor(unit.index) : 0;
+        key = makeCacheKey(*digest, netlistFp, configFp,
+                           power::kPowerModelVersion, stalls);
+        std::optional<ReplayRecord> hit = store.lookup(*key);
         if (hit) {
-            hit->outcome.index = units[i].index;
-            records[i] = std::move(*hit);
-        } else {
-            missUnits.push_back(units[i]);
-            missSlots.push_back(i);
+            hit->outcome.index = unit.index;
+            return std::move(*hit);
         }
     }
-
-    if (missUnits.empty())
-        return;
-    std::vector<ReplayRecord> missRecords(missUnits.size());
-    inner.replayAll(ctx, missUnits, missRecords);
-    executed += missUnits.size();
-    for (size_t k = 0; k < missUnits.size(); ++k) {
-        size_t slot = missSlots[k];
-        if (keyed[slot] && missRecords[k].outcome.replayed()) {
-            Status st = store.store(keys[slot], missRecords[k]);
-            if (!st.isOk()) {
-                warn("result cache store failed (run continues uncached): "
-                     "%s", st.toString().c_str());
-            }
+    ++executed;
+    ReplayRecord rec = replay();
+    if (key && rec.outcome.replayed()) {
+        Status st = store.store(*key, rec);
+        if (!st.isOk()) {
+            warn("result cache store failed (run continues uncached): %s",
+                 st.toString().c_str());
         }
-        records[slot] = std::move(missRecords[k]);
     }
+    return rec;
 }
 
 // ---------------------------------------------------------------------------
@@ -145,21 +124,10 @@ FarmOrchestrator::FarmOrchestrator(const rtl::Design &targetDesign,
                                    FarmConfig config)
     : target(targetDesign), cfg(std::move(config)),
       store(cfg.effectiveCacheDir()), fame(fame::fame1Transform(target)),
-      chainMeta(fame.design)
+      chainMeta(fame.design), asic(target)
 {
     if (cfg.shards == 0)
         fatal("FarmConfig.shards must be at least 1");
-}
-
-void
-FarmOrchestrator::buildAsicFlow()
-{
-    if (synth)
-        return;
-    synth = std::make_unique<gate::SynthesisResult>(gate::synthesize(target));
-    placed = std::make_unique<gate::Placement>(gate::place(synth->netlist));
-    match = std::make_unique<gate::MatchTable>(
-        gate::matchDesigns(target, synth->netlist, synth->guide));
 }
 
 std::string
@@ -171,8 +139,7 @@ FarmOrchestrator::manifestPath(uint32_t shard) const
 Status
 FarmOrchestrator::checkCompatible(const ShardManifest &m)
 {
-    buildAsicFlow();
-    uint64_t netFp = gate::netlistFingerprint(synth->netlist);
+    uint64_t netFp = gate::netlistFingerprint(asic.products().synth.netlist);
     if (m.netlistFingerprint != netFp) {
         return errorf(ErrorCode::GeometryMismatch,
                       "manifest was planned against a different netlist "
@@ -201,7 +168,6 @@ FarmOrchestrator::plan(
     const std::vector<const fame::ReplayableSnapshot *> &snapshots,
     uint64_t population)
 {
-    buildAsicFlow();
     std::error_code ec;
     fs::create_directories(cfg.dir, ec);
     if (ec) {
@@ -210,7 +176,7 @@ FarmOrchestrator::plan(
                       cfg.dir.c_str(), ec.message().c_str());
     }
 
-    uint64_t netFp = gate::netlistFingerprint(synth->netlist);
+    uint64_t netFp = gate::netlistFingerprint(asic.products().synth.netlist);
     uint64_t cfgFp = replayConfigFingerprint(cfg.sim);
 
     // Harvest completed work from a previous compatible run (resume):
@@ -326,8 +292,9 @@ FarmOrchestrator::replayEntry(gate::GateSimulator &gsim,
     } else {
         local.stallPlan = nullptr;
     }
-    core::ReplayContext ctx{target, *synth,   *placed, *match,
-                            chainMeta, local, budget};
+    const core::AsicProducts &p = asic.products();
+    core::ReplayContext ctx{target,    p.synth, p.placement, p.match,
+                            chainMeta, local,   budget};
     ReplayUnit unit{static_cast<size_t>(entry.index), &*snap};
     ++executed;
     return core::replaySnapshot(gsim, ctx, unit);
@@ -336,7 +303,7 @@ FarmOrchestrator::replayEntry(gate::GateSimulator &gsim,
 Status
 FarmOrchestrator::workShard(unsigned shard)
 {
-    buildAsicFlow();
+    const gate::SynthesisResult &synth = asic.products().synth;
     Result<ShardManifest> mr =
         readManifestFile(manifestPath(shard), /*reclaimLeases=*/true);
     if (!mr.isOk())
@@ -353,8 +320,8 @@ FarmOrchestrator::workShard(unsigned shard)
 
     core::EnergySimulator::Config applied = cfg.sim;
     m.applyTo(applied);
-    uint64_t budget = core::resolveReplayBudget(applied, *synth);
-    gate::GateSimulator gsim(synth->netlist);
+    uint64_t budget = core::resolveReplayBudget(applied, synth);
+    gate::GateSimulator gsim(synth.netlist);
 
     core::JobControl *job = cfg.sim.job;
 
@@ -493,7 +460,7 @@ FarmOrchestrator::loadAllManifests(bool reclaimLeases) const
 Result<EnergyReport>
 FarmOrchestrator::collect()
 {
-    buildAsicFlow();
+    const gate::SynthesisResult &synth = asic.products().synth;
     Result<std::vector<ShardManifest>> all =
         loadAllManifests(/*reclaimLeases=*/true);
     if (!all.isOk())
@@ -507,7 +474,7 @@ FarmOrchestrator::collect()
     const ShardManifest &head = (*all)[0];
     core::EnergySimulator::Config applied = cfg.sim;
     head.applyTo(applied);
-    uint64_t budget = core::resolveReplayBudget(applied, *synth);
+    uint64_t budget = core::resolveReplayBudget(applied, synth);
 
     size_t total = head.sampleCount;
     std::vector<ReplayRecord> records(total);
@@ -549,7 +516,7 @@ FarmOrchestrator::collect()
                     }
                     if (!gsim) {
                         gsim = std::make_unique<gate::GateSimulator>(
-                            synth->netlist);
+                            synth.netlist);
                     }
                     rec = replayEntry(*gsim, m, e, applied, budget);
                     if (rec.outcome.replayed()) {

@@ -5,14 +5,13 @@
  * simulation in parallel" — in practice a pool of worker processes over
  * a shared filesystem).
  *
- * Two layers, both built on the determinism contract of
- * core::ReplayExecutor (records are a pure function of snapshot +
- * design + config, so the report is bit-identical however the work is
- * executed):
+ * Two layers, both built on the determinism contract of the core
+ * replay engine (records are a pure function of snapshot + design +
+ * config, so the report is bit-identical however the work is executed):
  *
- *  - CachingReplayExecutor: a drop-in Config::replayExecutor that
- *    consults a persistent content-addressed ResultCache before
- *    replaying. A warm re-estimate of an unchanged design performs ZERO
+ *  - CachingReplayExecutor: a Config::replayExecutor store that puts a
+ *    persistent content-addressed ResultCache in front of the engine's
+ *    replays. A warm re-estimate of an unchanged design performs ZERO
  *    gate-level replays and still produces the bit-identical report.
  *
  *  - FarmOrchestrator: a durable multi-process run. plan() snapshots
@@ -27,6 +26,7 @@
 #ifndef STROBER_FARM_FARM_H
 #define STROBER_FARM_FARM_H
 
+#include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
@@ -46,14 +46,14 @@ class StreamFeed;
 struct StreamDrainOutcome;
 
 /**
- * Cache-backed replay executor for EnergySimulator::estimate(). Misses
- * are replayed by the built-in in-process strided workers
- * (cfg.parallelReplays applies to the miss set), then verified results
- * are stored. Hits never change the numbers — the key covers every
- * replay-relevant input, so a hit IS the record a fresh replay would
- * produce.
+ * ResultCache adapter for EnergySimulator::Config::replayExecutor: the
+ * replay engine (estimate() and estimateStreaming() alike) looks every
+ * snapshot up before replaying it and stores verified results. Hits
+ * never change the numbers — the key covers every replay-relevant
+ * input, so a hit IS the record a fresh replay would produce. Serves
+ * one engine at a time.
  */
-class CachingReplayExecutor : public core::ReplayExecutor
+class CachingReplayExecutor : public core::ReplayStore
 {
   public:
     explicit CachingReplayExecutor(std::string cacheDir)
@@ -61,22 +61,22 @@ class CachingReplayExecutor : public core::ReplayExecutor
     {
     }
 
-    const char *name() const override { return "caching"; }
-
-    void replayAll(const core::ReplayContext &ctx,
-                   const std::vector<core::ReplayUnit> &units,
-                   std::vector<core::ReplayRecord> &records) override;
+    void bind(const core::ReplayContext &ctx) override;
+    core::ReplayRecord fetch(const core::ReplayContext &ctx,
+                             const core::ReplayUnit &unit,
+                             const Replay &replay) override;
 
     /** Gate-level replays actually performed (0 on a fully warm cache). */
     uint64_t replaysExecuted() const { return executed; }
 
     ResultCache &cache() { return store; }
-    const ResultCache::Stats &cacheStats() const { return store.stats(); }
+    ResultCache::Stats cacheStats() const { return store.stats(); }
 
   private:
     ResultCache store;
-    core::InProcessReplayExecutor inner;
-    uint64_t executed = 0;
+    uint64_t netlistFp = 0; //!< of the bound context
+    uint64_t configFp = 0;
+    std::atomic<uint64_t> executed{0};
 };
 
 /** Configuration of one farm run. */
@@ -230,14 +230,10 @@ class FarmOrchestrator
     fame::Fame1Design fame;
     fame::ScanChains chainMeta;
 
-    // Lazily-built ASIC-flow products (identical to EnergySimulator's).
-    std::unique_ptr<gate::SynthesisResult> synth;
-    std::unique_ptr<gate::Placement> placed;
-    std::unique_ptr<gate::MatchTable> match;
+    core::AsicFlow asic;
 
     uint64_t executed = 0;
 
-    void buildAsicFlow();
     std::string manifestPath(uint32_t shard) const;
     util::Result<std::vector<ShardManifest>>
     loadAllManifests(bool reclaimLeases) const;

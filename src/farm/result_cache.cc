@@ -259,6 +259,18 @@ ResultCache::store(const CacheKey &key, const core::ReplayRecord &rec)
     return st;
 }
 
+ResultCache::Stats
+ResultCache::stats() const
+{
+    Stats s;
+    s.hits = counters.hits;
+    s.misses = counters.misses;
+    s.corruptEntries = counters.corruptEntries;
+    s.stores = counters.stores;
+    s.evictions = counters.evictions;
+    return s;
+}
+
 size_t
 ResultCache::entryCount() const
 {

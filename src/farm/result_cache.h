@@ -23,6 +23,7 @@
 #ifndef STROBER_FARM_RESULT_CACHE_H
 #define STROBER_FARM_RESULT_CACHE_H
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -140,11 +141,17 @@ class ResultCache
         uint64_t stores = 0;
         uint64_t evictions = 0;      //!< entries removed by trim()
     };
-    const Stats &stats() const { return counters; }
+    /** A snapshot of the counters (safe while other threads use the
+     *  cache: replay engine workers share one). */
+    Stats stats() const;
 
   private:
     std::string root;
-    Stats counters;
+    struct
+    {
+        std::atomic<uint64_t> hits{0}, misses{0}, corruptEntries{0},
+            stores{0}, evictions{0};
+    } counters;
 };
 
 } // namespace farm

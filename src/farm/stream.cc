@@ -296,22 +296,12 @@ bool
 StreamFeed::ciBoundMet(ResultCache &store, double bound, double confidence,
                        uint64_t populationSize, size_t reservoirSize)
 {
-    if (bound <= 0)
-        return false;
-    size_t done = pollCompleted(store);
-    size_t floor =
-        std::max<size_t>(std::min<size_t>(30, reservoirSize), 2);
-    if (done < floor)
-        return false;
+    pollCompleted(store);
     stats::SampleStats power;
     for (const auto &kv : completed)
         power.add(kv.second.totalWatts);
-    // The without-replacement CI needs the population to cover the
-    // sample (Eq. 4's finite-population correction).
-    if (populationSize < power.size())
-        return false;
-    stats::Estimate est = power.estimate(confidence, populationSize);
-    return est.mean > 0 && est.relativeError() < bound;
+    return stats::ciBoundMet(power, bound, confidence, populationSize,
+                             reservoirSize);
 }
 
 // ---------------------------------------------------------------------------
@@ -320,7 +310,6 @@ StreamFeed::ciBoundMet(ResultCache &store, double bound, double confidence,
 Result<std::unique_ptr<StreamFeed>>
 FarmOrchestrator::openStreamFeed()
 {
-    buildAsicFlow();
     std::string sdir = streamDir(cfg.dir);
     std::error_code ec;
     // A stale feed (a prior killed run's entries, done or plan marker)
@@ -335,7 +324,7 @@ FarmOrchestrator::openStreamFeed()
                       "cannot create stream directory '%s': %s",
                       sdir.c_str(), ec.message().c_str());
     }
-    uint64_t netFp = gate::netlistFingerprint(synth->netlist);
+    uint64_t netFp = gate::netlistFingerprint(asic.products().synth.netlist);
     uint64_t cfgFp = replayConfigFingerprint(cfg.sim);
 
     // Compatibility meta: a header-only shard manifest, so stream
@@ -365,7 +354,7 @@ Result<StreamDrainOutcome>
 FarmOrchestrator::drainStream(unsigned slot, unsigned slots,
                               uint64_t pollMs, uint64_t metaWaitMs)
 {
-    buildAsicFlow();
+    const core::AsicProducts &asicp = asic.products();
     if (slots == 0)
         slots = 1;
     std::string sdir = streamDir(cfg.dir);
@@ -397,7 +386,7 @@ FarmOrchestrator::drainStream(unsigned slot, unsigned slots,
 
     core::EnergySimulator::Config applied = cfg.sim;
     meta->applyTo(applied);
-    uint64_t budget = core::resolveReplayBudget(applied, *synth);
+    uint64_t budget = core::resolveReplayBudget(applied, asicp.synth);
     std::unique_ptr<gate::GateSimulator> gsim;
 
     std::set<std::string> seen;
@@ -502,11 +491,12 @@ FarmOrchestrator::drainStream(unsigned slot, unsigned slots,
             } else {
                 local.stallPlan = nullptr;
             }
-            core::ReplayContext ctx{target,    *synth, *placed, *match,
-                                    chainMeta, local,  budget};
+            core::ReplayContext ctx{target,    asicp.synth, asicp.placement,
+                                    asicp.match, chainMeta, local,
+                                    budget};
             if (!gsim)
-                gsim =
-                    std::make_unique<gate::GateSimulator>(synth->netlist);
+                gsim = std::make_unique<gate::GateSimulator>(
+                    asicp.synth.netlist);
             ReplayUnit unit{static_cast<size_t>(e.slot), &*snap};
             ++executed;
             ReplayRecord rec = core::replaySnapshot(*gsim, ctx, unit);

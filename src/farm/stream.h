@@ -3,7 +3,7 @@
  * Incremental farm work feed: streams reservoir captures to worker
  * processes WHILE the fast simulation is still running, so gate-level
  * replay overlaps phase 1 instead of waiting for it (the multi-process
- * counterpart of src/core/streaming.h).
+ * counterpart of the in-process core::ReplayEngine).
  *
  * Shard manifests keep their single-writer discipline — the stream
  * never appends to them. Instead the producer drops one small CRC'd

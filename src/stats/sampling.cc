@@ -133,5 +133,22 @@ SampleStats::minimumSampleSize(double confidence, double epsilon) const
     return std::max<uint64_t>(static_cast<uint64_t>(std::ceil(n)), 30);
 }
 
+bool
+ciBoundMet(const SampleStats &samples, double bound, double confidence,
+           uint64_t populationSize, size_t reservoirSize)
+{
+    // Eq. 8 floor: n >= 30 for the normal approximation to hold, clamped
+    // to the reservoir so a small configured sample can still stop once
+    // fully replayed, and never under the 2 a variance needs.
+    size_t floorN = std::max<size_t>(std::min<size_t>(30, reservoirSize), 2);
+    // The without-replacement CI needs the population to cover the
+    // sample (Eq. 6's finite-population correction).
+    if (bound <= 0 || samples.size() < floorN ||
+        populationSize < samples.size())
+        return false;
+    Estimate est = samples.estimate(confidence, populationSize);
+    return est.mean > 0 && est.relativeError() < bound;
+}
+
 } // namespace stats
 } // namespace strober

@@ -98,6 +98,17 @@ class SampleStats
 };
 
 /**
+ * Adaptive-termination rule (EnergySimulator::Config::ciBound), shared
+ * by the in-process replay engine and the farm stream feed: true once
+ * @p samples holds at least max(min(30, @p reservoirSize), 2) values
+ * (the Eq. 8 n >= 30 floor), @p populationSize covers them, the mean is
+ * positive and the estimate's relativeError() is below @p bound. A
+ * bound <= 0 never stops.
+ */
+bool ciBoundMet(const SampleStats &samples, double bound, double confidence,
+                uint64_t populationSize, size_t reservoirSize);
+
+/**
  * Reservoir sampling (Vitter's algorithm R): maintains a uniform random
  * sample of size n over a stream whose total length is unknown a priori.
  * Element k (1-based) replaces a random reservoir slot with probability

@@ -115,6 +115,14 @@ monotonicMs()
             .count());
 }
 
+double
+monotonicSeconds()
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
 bool
 applyMemoryRlimitMb(unsigned long mb)
 {

@@ -62,6 +62,9 @@ uint64_t nowUnixMs();
 /** Monotonic milliseconds (supervision intervals; never steps). */
 uint64_t monotonicMs();
 
+/** Monotonic seconds, sub-millisecond resolution (phase wall clocks). */
+double monotonicSeconds();
+
 /**
  * Cap this process's address space at @p mb megabytes (RLIMIT_AS), the
  * worker-side half of memory supervision: even if the supervisor's

@@ -275,6 +275,41 @@ TEST(ReservoirDeath, ZeroSampleSizeRejected)
                 "fatal");
 }
 
+TEST(CiBound, RuleBoundaries)
+{
+    SampleStats s;
+    for (int i = 0; i < 10; ++i)
+        s.add(1.0 + 0.01 * i);
+    const double conf = 0.99;
+    const uint64_t pop = 1000;
+    EXPECT_TRUE(ciBoundMet(s, 1.0, conf, pop, 10));
+
+    // n one below the floor max(min(30, reservoir), 2).
+    EXPECT_FALSE(ciBoundMet(s, 1.0, conf, pop, 11));
+    SampleStats one;
+    one.add(1.0);
+    EXPECT_FALSE(ciBoundMet(one, 1.0, conf, pop, 1));
+
+    // The population must cover the sample.
+    EXPECT_FALSE(ciBoundMet(s, 1.0, conf, 9, 10));
+    EXPECT_TRUE(ciBoundMet(s, 1.0, conf, 10, 10));
+
+    // A zero mean never stops, whatever its (zero) relative error.
+    SampleStats zero;
+    for (int i = 0; i < 10; ++i)
+        zero.add(i % 2 ? 1.0 : -1.0);
+    EXPECT_FALSE(ciBoundMet(zero, 1.0, conf, pop, 10));
+
+    // The relative error must be strictly under the bound.
+    double rel = s.estimate(conf, pop).relativeError();
+    ASSERT_GT(rel, 0.0);
+    EXPECT_FALSE(ciBoundMet(s, rel, conf, pop, 10));
+    EXPECT_TRUE(ciBoundMet(s, std::nextafter(rel, 1.0), conf, pop, 10));
+
+    // A non-positive bound disables the rule.
+    EXPECT_FALSE(ciBoundMet(s, 0.0, conf, pop, 10));
+}
+
 } // namespace
 } // namespace stats
 } // namespace strober

@@ -1,8 +1,8 @@
 /**
  * @file
- * Streaming sampling pipeline tests (src/core/streaming.h plus the
- * fame::SampleObserver seam): replay overlapping the fast simulation
- * must never change the answer.
+ * Streaming sampling pipeline tests (core::ReplayEngine behind
+ * estimateStreaming(), plus the fame::SampleObserver seam): replay
+ * overlapping the fast simulation must never change the answer.
  *
  * Contracts under test:
  *  - The observer protocol: every capture published exactly once, in
@@ -20,15 +20,20 @@
  *    report over the completed subset.
  */
 
+#include <filesystem>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "core/energy_sim.h"
 #include "core/harness.h"
+#include "farm/farm.h"
 #include "farm/report.h"
 #include "fame/sampler.h"
 #include "inject/fault_injector.h"
@@ -291,6 +296,45 @@ TEST(StreamingPipeline, BitIdenticalUnderFaultInjection)
         EnergyReport streamed = es.estimateStreaming(driver, UINT64_MAX);
         expectBitIdentical(phased, streamed);
     }
+}
+
+TEST(StreamingPipeline, CachedStreamedRunsMatchPhasedAndWarmTheCache)
+{
+    namespace fs = std::filesystem;
+    fs::path dir = fs::temp_directory_path() /
+                   ("strober_streaming_cache_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    Design d = makeDut();
+    EnergySimulator::Config cfg = standardConfig();
+    cfg.parallelReplays = 4;
+    std::string phased =
+        farm::renderReportDeterministic(phasedReport(d, cfg, 10'000));
+
+    farm::CachingReplayExecutor exec(dir.string());
+    cfg.replayExecutor = &exec;
+
+    // Cold: the streamed run fills the cache and still reports the
+    // phased uncached bytes.
+    EnergySimulator cold(d, cfg);
+    NoiseDriver coldDriver(42, 10'000);
+    EnergyReport coldRep = cold.estimateStreaming(coldDriver, UINT64_MAX);
+    EXPECT_EQ(farm::renderReportDeterministic(coldRep), phased);
+    EXPECT_EQ(coldRep.cacheMisses, coldRep.snapshots);
+
+    // Warm streamed rerun: every surviving capture is a cache hit.
+    EnergySimulator warm(d, cfg);
+    NoiseDriver warmDriver(42, 10'000);
+    EnergyReport warmRep = warm.estimateStreaming(warmDriver, UINT64_MAX);
+    EXPECT_EQ(warmRep.cacheHits, warmRep.snapshots);
+    EXPECT_EQ(farm::renderReportDeterministic(warmRep), phased);
+
+    // A phased estimate() of the same sample replays nothing.
+    uint64_t before = exec.replaysExecuted();
+    EnergyReport rephased = warm.estimate();
+    EXPECT_EQ(exec.replaysExecuted() - before, 0u);
+    EXPECT_EQ(rephased.cacheHits, rephased.snapshots);
+    EXPECT_EQ(farm::renderReportDeterministic(rephased), phased);
+    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------

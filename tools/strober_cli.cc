@@ -18,6 +18,7 @@
  *                                          #   cache (src/farm); a warm
  *                                          #   cache re-estimates with
  *                                          #   zero gate-level replays
+ *                                          #   (phased or --stream)
  *       [--max-dropped-snapshots N]        #   invalidate report past N
  *       [--replay-timeout CYCLES]          #   per-replay watchdog budget
  *       [--dump-stimulus F.vcd]            #   dump a ports-only VCD of
@@ -199,18 +200,9 @@ cmdRun(const std::string &coreName, const std::string &wlName,
     const bool streamed = opts.stream || opts.ciBound > 0;
     std::unique_ptr<farm::CachingReplayExecutor> cachingExec;
     if (!opts.cacheDir.empty()) {
-        if (streamed) {
-            // estimateStreaming() replays on its own in-process worker
-            // threads and never consults cfg.replayExecutor; a cached
-            // streamed run is the farm's job (strober-farm run --stream).
-            std::printf("note: --cache-dir is ignored with --stream/"
-                        "--ci-bound (use strober-farm run --stream for a "
-                        "cached streamed run)\n");
-        } else {
-            cachingExec = std::make_unique<farm::CachingReplayExecutor>(
-                opts.cacheDir);
-            cfg.replayExecutor = cachingExec.get();
-        }
+        cachingExec =
+            std::make_unique<farm::CachingReplayExecutor>(opts.cacheDir);
+        cfg.replayExecutor = cachingExec.get();
     }
     core::EnergySimulator strober(soc, cfg);
 
