@@ -327,8 +327,9 @@ traceIngestContrast(const rtl::Design &soc, bench::JsonSink &json)
 }
 
 /**
- * Streaming pipeline (src/core/streaming.h): the phased run() +
- * estimate() flow against estimateStreaming() on a replay-bound
+ * Streaming pipeline (estimateStreaming in src/core/energy_sim.h, fed
+ * through the replay engine of src/core/replay_executor.h): the phased
+ * run() + estimate() flow against estimateStreaming() on a replay-bound
  * workload (fast sim and replay walls roughly balanced, so overlap has
  * something to hide), plus an adaptive --ci-bound run. The streamed
  * end-to-end span should land well under the phased fast+replay sum,

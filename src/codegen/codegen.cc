@@ -15,9 +15,47 @@ using rtl::kNoSlot;
 
 namespace {
 
-/** Statements per emitted eval function; keeps any single function
- *  small enough that -O2 compile time stays linear in design size. */
-constexpr size_t kChunkStmts = 2048;
+/** Statements per plain eval chunk function. GCC's -O2 alias walking
+ *  grows superlinearly with function size, so small functions compile
+ *  several times faster in total; DESIGN.md ("Compiled simulation
+ *  backend") has the measured table this value was picked from. */
+constexpr size_t kChunkStmts = 128;
+
+/** Statement budget of one chunk translation unit. Fixed rather than
+ *  derived from the host's core count, so the emitted source stays a
+ *  pure function of (design, plan). */
+constexpr size_t kTuStmts = 2048;
+
+/** Function attribute keeping plain chunks out of the module's
+ *  dynamic symbol table: only the first unit calls them. */
+constexpr const char *kHidden = "__attribute__((visibility(\"hidden\")))";
+
+/**
+ * Chunk functions grouped into translation units: a new unit starts
+ * when the next function would take the current one past kTuStmts
+ * statements (a larger function gets a unit of its own).
+ */
+class ChunkUnits
+{
+  public:
+    void
+    add(const std::string &fn, size_t stmts)
+    {
+        if (units.empty() || used + stmts > kTuStmts) {
+            units += std::string(kTuDelimiter) + "\n#include <cstdint>\n\n";
+            used = 0;
+        }
+        units += fn;
+        used += stmts;
+    }
+
+    /** Every unit, each starting with its delimiter line. */
+    const std::string &text() const { return units; }
+
+  private:
+    std::string units;
+    size_t used = 0;
+};
 
 std::string
 hexU64(uint64_t v)
@@ -302,21 +340,28 @@ emitSimulatorSource(const rtl::Design &d, const rtl::EvalPlan &plan)
            " cold=" + dec(plan.stats.cold) + "\n";
     out += "#include <cstdint>\n\n";
 
-    // Eval: the hot program as straight-line code, chunked so no one
-    // function overwhelms the host compiler's per-function analyses.
+    // Eval: the hot program as straight-line code, cut into small
+    // chunk functions that live in the later translation units; this
+    // unit only declares them and calls them in order.
+    const std::string sig = "(uint64_t* __restrict__ s, uint64_t* const* "
+                            "__restrict__ m)";
     size_t numChunks =
         (plan.hotProgram.size() + kChunkStmts - 1) / kChunkStmts;
+    ChunkUnits units;
     for (size_t chunk = 0; chunk < numChunks; ++chunk) {
-        out += "static void eval_" + dec(chunk) +
-               "(uint64_t* __restrict__ s, uint64_t* const* __restrict__ "
-               "m) {\n";
-        out += "  (void)m;\n";
+        const std::string decl = "extern \"C\" " + std::string(kHidden) +
+                                 " void eval_" + dec(chunk) + sig;
+        out += decl + ";\n";
         size_t lo = chunk * kChunkStmts;
         size_t hi = std::min(lo + kChunkStmts, plan.hotProgram.size());
+        std::string fn = decl + " {\n  (void)m;\n";
         for (size_t i = lo; i < hi; ++i)
-            out += stepStmt(d, plan.hotProgram[i]);
-        out += "}\n\n";
+            fn += stepStmt(d, plan.hotProgram[i]);
+        fn += "}\n\n";
+        units.add(fn, hi - lo);
     }
+    if (numChunks > 0)
+        out += "\n";
 
     out += "extern \"C\" void strober_eval(uint64_t* s, uint64_t* const* "
            "m) {\n";
@@ -328,6 +373,7 @@ emitSimulatorSource(const rtl::Design &d, const rtl::EvalPlan &plan)
 
     emitCommit(out, d, plan);
     emitStamps(out, d, plan, 0);
+    out += units.text();
     return out;
 }
 
@@ -349,22 +395,28 @@ emitPartitionedSource(const rtl::Design &d, const rtl::EvalPlan &plan,
            "\n";
     out += "#include <cstdint>\n\n";
 
-    // One function per chunk. Each step stores its slot only when the
-    // value changed, accumulating the consumer chunks' dirty bits in
-    // locals; the accumulated words are published once at the end with
-    // relaxed atomic ORs (chunks of one level run concurrently; the
-    // level barrier orders the reads that follow).
+    // One exported function per chunk, declared here and defined in
+    // the later translation units. Each step stores its slot only when
+    // the value changed, accumulating the consumer chunks' dirty bits
+    // in locals; the accumulated words are published once at the end
+    // with relaxed atomic ORs (chunks of one level run concurrently;
+    // the level barrier orders the reads that follow).
+    ChunkUnits units;
     for (uint32_t c = 0; c < numChunks; ++c) {
-        out += "extern \"C\" void " + std::string(kChunkSymbolPrefix) +
-               dec(c) +
-               "(uint64_t* __restrict__ s, uint64_t* const* __restrict__ "
-               "m, uint64_t* __restrict__ d) {\n";
-        out += "  (void)m; (void)d;\n";
+        const std::string decl =
+            "extern \"C\" void " + std::string(kChunkSymbolPrefix) +
+            dec(c) +
+            "(uint64_t* __restrict__ s, uint64_t* const* __restrict__ "
+            "m, uint64_t* __restrict__ d)";
+        out += decl + ";\n";
+        std::string fn = decl + " {\n  (void)m; (void)d;\n";
 
         // Dirty words this chunk's outputs can touch, in first-use order.
         std::vector<uint32_t> usedWords;
+        // Each name is bound to a local before it is concatenated: GCC 12
+        // at -O3 raises a false -Wrestrict on "literal" + std::string&&.
         auto wordVar = [&](uint32_t word) {
-            return "w" + dec(word);
+            return std::string(1, 'w').append(dec(word));
         };
         std::string body;
         for (uint32_t i : part.chunks[c].steps) {
@@ -400,20 +452,28 @@ emitPartitionedSource(const rtl::Design &d, const rtl::EvalPlan &plan,
             }
             body += "  { " + p.prelude + "const uint64_t nv = " + p.expr +
                     "; if (" + dst + " != nv) { " + dst + " = nv;";
-            for (const auto &[word, mask] : marks)
-                body += " " + wordVar(word) + " |= " + hexU64(mask) + ";";
+            for (const auto &[word, mask] : marks) {
+                const std::string w = wordVar(word);
+                body += " " + w + " |= " + hexU64(mask) + ";";
+            }
             body += " } }\n";
         }
         std::sort(usedWords.begin(), usedWords.end());
-        for (uint32_t word : usedWords)
-            out += "  uint64_t " + wordVar(word) + " = 0ull;\n";
-        out += body;
-        for (uint32_t word : usedWords)
-            out += "  if (" + wordVar(word) + ") __atomic_fetch_or(d + " +
-                   dec(word) + ", " + wordVar(word) +
-                   ", __ATOMIC_RELAXED);\n";
-        out += "}\n\n";
+        for (uint32_t word : usedWords) {
+            const std::string w = wordVar(word);
+            fn += "  uint64_t " + w + " = 0ull;\n";
+        }
+        fn += body;
+        for (uint32_t word : usedWords) {
+            const std::string w = wordVar(word);
+            fn += "  if (" + w + ") __atomic_fetch_or(d + " + dec(word) +
+                  ", " + w + ", __ATOMIC_RELAXED);\n";
+        }
+        fn += "}\n\n";
+        units.add(fn, part.chunks[c].steps.size());
     }
+    if (numChunks > 0)
+        out += "\n";
 
     // Sequential full sweep over all chunks (chunk ids are level-major,
     // hence topologically ordered); dirty marks land in a scratch
@@ -432,7 +492,8 @@ emitPartitionedSource(const rtl::Design &d, const rtl::EvalPlan &plan,
     out += "}\n\n";
 
     emitCommit(out, d, plan);
-    emitStamps(out, d, plan, numChunks == 0 ? 0 : numChunks);
+    emitStamps(out, d, plan, numChunks);
+    out += units.text();
     return out;
 }
 

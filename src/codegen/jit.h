@@ -1,9 +1,13 @@
 /**
  * @file
- * Host-toolchain JIT for the compiled-simulation backend: write the
- * emitted translation unit (codegen/codegen.h) to a private temp
- * directory, compile it into a shared object with the host C++
- * compiler, dlopen() it and resolve the entry points.
+ * Host-toolchain JIT for the compiled-simulation backend: split the
+ * emitted source (codegen/codegen.h) into its translation units, write
+ * them to a private temp directory, compile them to objects with the
+ * host C++ compiler — at most std::thread::hardware_concurrency() at
+ * once — link one shared object, dlopen() it and resolve the entry
+ * points. Compilers run through posix_spawn with an argv (no shell)
+ * and are reaped with waitpid; the temp directory is removed on every
+ * path.
  *
  * Compiler discovery, in order:
  *  1. $STROBER_CXX — explicit operator override;
@@ -76,11 +80,14 @@ class CompiledSim
 std::string hostCompiler();
 
 /**
- * Compile @p source into a shared object and load it. @p tag names the
- * temp artifacts (diagnostics only; any identifier-ish string works).
- * Errors: Unsupported when no compiler is available, IoError for
- * temp-dir/compile/dlopen failures, Corrupt when the module's geometry
- * stamps or entry points are missing.
+ * Compile @p source into a shared object and load it. @p source is one
+ * or more translation units separated by kTuDelimiter lines; a string
+ * without a delimiter is one unit. @p tag names the temp artifacts
+ * (diagnostics only; any identifier-ish string works). Errors:
+ * Unsupported when no compiler is available, IoError for
+ * temp-dir/compile/link/dlopen failures (a failed compile carries the
+ * failing unit's index and compiler log), Corrupt when the module's
+ * geometry stamps or entry points are missing.
  */
 util::Result<std::unique_ptr<CompiledSim>>
 compileSimulator(const std::string &source, const std::string &tag);

@@ -237,7 +237,7 @@ buildBoomSoc(const SocConfig &config)
     };
     std::vector<IqEntry> iq(Q);
     for (unsigned i = 0; i < Q; ++i) {
-        std::string n = "e" + std::to_string(i) + "_";
+        std::string n = 'e' + std::to_string(i) + "_";
         iq[i].valid = b.reg(n + "valid", 1, 0);
         iq[i].robTag = b.reg(n + "rob", tagW, 0);
         iq[i].dst = b.reg(n + "dst", pregW, 0);
@@ -270,7 +270,7 @@ buildBoomSoc(const SocConfig &config)
     };
     std::vector<StqEntry> stqE(SQ);
     for (unsigned i = 0; i < SQ; ++i) {
-        std::string n = "q" + std::to_string(i) + "_";
+        std::string n = 'q' + std::to_string(i) + "_";
         stqE[i].valid = b.reg(n + "valid", 1, 0);
         stqE[i].robTag = b.reg(n + "rob", tagW, 0);
         stqE[i].addr = b.reg(n + "addr", 32, 0);
@@ -285,7 +285,7 @@ buildBoomSoc(const SocConfig &config)
     b.pushScope("mulpipe");
     std::vector<Signal> mulV(3), mulTag(3), mulDst(3);
     for (unsigned i = 0; i < 3; ++i) {
-        std::string n = "s" + std::to_string(i) + "_";
+        std::string n = 's' + std::to_string(i) + "_";
         mulV[i] = b.reg(n + "v", 1, 0);
         mulTag[i] = b.reg(n + "rob", tagW, 0);
         mulDst[i] = b.reg(n + "dst", pregW, 0);

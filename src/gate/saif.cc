@@ -14,7 +14,7 @@ std::string
 saifName(const std::string &name, NetId id)
 {
     if (name.empty())
-        return "n" + std::to_string(id);
+        return 'n' + std::to_string(id);
     std::string out;
     out.reserve(name.size());
     for (char c : name) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "isa/encoding.h"
 #include "util/bits.h"
@@ -98,9 +100,8 @@ splitMemOperand(const std::string &op, std::string &offset, std::string &reg)
     size_t open = op.find('(');
     if (open == std::string::npos || op.back() != ')')
         return false;
-    offset = trim(op.substr(0, open));
-    if (offset.empty())
-        offset = "0";
+    std::string imm = trim(op.substr(0, open));
+    offset = imm.empty() ? std::string(1, '0') : std::move(imm);
     reg = trim(op.substr(open + 1, op.size() - open - 2));
     return true;
 }

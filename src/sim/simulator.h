@@ -29,9 +29,11 @@
  *     ordered), so a single pass settles the graph and the evaluation
  *     sequence stays a sub-sequence of the full sweep.
  *   - Compiled: the hot schedule and commit logic lowered to
- *     specialized C++ (src/codegen), built with the host toolchain
- *     and dlopen()ed. When no compiler is available construction
- *     degrades to InterpretedFull with a warning — never an error.
+ *     specialized C++ (src/codegen) as several translation units,
+ *     compiled in parallel with the host toolchain, linked into one
+ *     shared object and dlopen()ed. When no compiler is available
+ *     construction degrades to InterpretedFull with a warning — never
+ *     an error.
  *   - CompiledParallel: the hot schedule partitioned into balanced,
  *     level-ordered chunks (rtl::partitionEvalPlan), each lowered to a
  *     JIT'd function that evaluates only when one of its input slots

@@ -613,9 +613,13 @@ TEST_F(DaemonTest, AdmissionControlRejectsBeyondTheBound)
         ASSERT_TRUE(sub->accepted) << sub->refusal;
         ids.push_back(sub->jobId);
     }
-    // Give the runner a beat to pull one job off the queue, then fill
-    // the freed slot before testing the refusal.
-    for (int spin = 0; spin < 200 && gate->running.load() == 0; ++spin)
+    // Wait for the runner to pull one job off the queue, then fill the
+    // freed slot before testing the refusal. The deadline is generous:
+    // under a loaded host the runner thread can take a while to wake.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (gate->running.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     ASSERT_EQ(gate->running.load(), 1);
     while (true) {
