@@ -30,6 +30,28 @@ classifyReplayError(util::ErrorCode code)
     }
 }
 
+/** Fill @p out's power numbers from a verified replay's report. */
+void
+setPower(ReplayRecord &out, const power::PowerReport &p)
+{
+    out.totalWatts = p.totalWatts();
+    out.groups.clear();
+    for (const power::GroupPower &g : p.groups)
+        out.groups.emplace_back(g.group, g.total());
+}
+
+gate::ReplayOptions
+replayOptions(const ReplayContext &ctx, const ReplayUnit &unit,
+              gate::LoaderKind loader)
+{
+    gate::ReplayOptions opts;
+    opts.loader = loader;
+    opts.cycleBudget = ctx.cycleBudget;
+    if (ctx.cfg.stallPlan)
+        opts.injectedStallCycles = ctx.cfg.stallPlan->stallFor(unit.index);
+    return opts;
+}
+
 } // namespace
 
 uint64_t
@@ -69,13 +91,10 @@ replaySnapshot(gate::GateSimulator &gsim, const ReplayContext &ctx,
     const unsigned maxAttempts = cfg.retryFaultySnapshots ? 2 : 1;
     for (unsigned attempt = 0; attempt < maxAttempts; ++attempt) {
         oc.attempts = attempt + 1;
-        gate::ReplayOptions opts;
-        opts.loader = attempt == 0 ? cfg.loader
-                                   : gate::alternateLoader(cfg.loader);
+        gate::ReplayOptions opts = replayOptions(
+            ctx, unit,
+            attempt == 0 ? cfg.loader : gate::alternateLoader(cfg.loader));
         oc.retriedOnAlternateLoader = attempt > 0;
-        opts.cycleBudget = ctx.cycleBudget;
-        if (cfg.stallPlan)
-            opts.injectedStallCycles = cfg.stallPlan->stallFor(unit.index);
         try {
             util::Result<gate::GateReplayResult> r = gate::replayOnGate(
                 gsim, ctx.target, ctx.match, *unit.snap, opts);
@@ -94,13 +113,9 @@ replaySnapshot(gate::GateSimulator &gsim, const ReplayContext &ctx,
             oc.status = SnapshotStatus::Replayed;
             oc.mismatches = 0;
             oc.detail.clear();
-            power::PowerReport p =
-                power::analyzePower(ctx.synth.netlist, ctx.placement,
-                                    r->activity, cfg.clockHz);
-            out.totalWatts = p.totalWatts();
-            out.groups.clear();
-            for (const power::GroupPower &g : p.groups)
-                out.groups.emplace_back(g.group, g.total());
+            setPower(out, power::analyzePower(ctx.synth.netlist,
+                                              ctx.placement, r->activity,
+                                              cfg.clockHz));
         } catch (const std::exception &e) {
             // Defense in depth: an exception escaping a replay must
             // cost one sample, not the whole farm run.
@@ -113,15 +128,61 @@ replaySnapshot(gate::GateSimulator &gsim, const ReplayContext &ctx,
     return out;
 }
 
+std::vector<ReplayRecord>
+replaySnapshots(const ReplayContext &ctx, const ReplayTables &tables,
+                std::unique_ptr<gate::GateSimulator> &gsim,
+                const std::vector<ReplayUnit> &units)
+{
+    std::vector<ReplayRecord> out(units.size());
+    std::vector<bool> done(units.size(), false);
+    // Past the job deadline every unit takes replaySnapshot()'s
+    // deterministic cut-off record.
+    if (ctx.cfg.job == nullptr || !ctx.cfg.job->deadlineExpired()) {
+        std::vector<gate::ReplayLane> lanes;
+        for (const ReplayUnit &unit : units) {
+            lanes.push_back(gate::ReplayLane{
+                unit.snap, replayOptions(ctx, unit, ctx.cfg.loader)});
+        }
+        try {
+            gate::replayLanesOnGate(
+                tables.program, ctx.synth.netlist, ctx.target, ctx.match,
+                lanes, [&](size_t k, const gate::GateReplayResult &r) {
+                    // replaySnapshot()'s record of a first-attempt success.
+                    SnapshotOutcome &oc = out[k].outcome;
+                    oc.index = units[k].index;
+                    oc.cycle = units[k].snap->cycle();
+                    oc.status = SnapshotStatus::Replayed;
+                    oc.attempts = 1;
+                    out[k].modeledLoadSeconds = r.load.modeledSeconds;
+                    setPower(out[k], power::analyzePower(
+                                         ctx.synth.netlist, tables.power,
+                                         r.activity, ctx.cfg.clockHz));
+                    done[k] = true;
+                });
+        } catch (const std::exception &) {
+            // Unfinished lanes replay alone below, which contains the
+            // exception as that snapshot's outcome.
+        }
+    }
+    for (size_t k = 0; k < units.size(); ++k) {
+        if (done[k])
+            continue;
+        if (!gsim)
+            gsim = std::make_unique<gate::GateSimulator>(ctx.synth.netlist);
+        out[k] = replaySnapshot(*gsim, ctx, units[k]);
+    }
+    return out;
+}
+
 ReplayEngine::ReplayEngine(const ReplayContext &ctx, ReplayStore *store,
                            unsigned workerCount, size_t queueBound)
-    : ctx(ctx), store(store), bound(std::max<size_t>(queueBound, 1))
+    : ctx(ctx), store(store), bound(std::max<size_t>(queueBound, 1)),
+      nWorkers(std::max(1u, workerCount))
 {
     if (store)
         store->bind(ctx);
-    unsigned n = std::max(1u, workerCount);
-    workers.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
+    workers.reserve(nWorkers);
+    for (unsigned i = 0; i < nWorkers; ++i)
         workers.emplace_back([this] { workerMain(); });
 }
 
@@ -173,50 +234,66 @@ ReplayEngine::onSlotEvicted(size_t slot, uint64_t generation)
     // slot moved on and discards the result.
 }
 
-ReplayRecord
+std::vector<ReplayRecord>
 ReplayEngine::replay(std::unique_ptr<gate::GateSimulator> &gsim,
-                     const ReplayUnit &unit)
+                     const std::vector<ReplayUnit> &units)
 {
-    // Built lazily: store hits and idle workers never pay for a
-    // gate-level simulator.
-    auto run = [&] {
-        if (!gsim)
-            gsim = std::make_unique<gate::GateSimulator>(ctx.synth.netlist);
-        return replaySnapshot(*gsim, ctx, unit);
+    auto run = [&](const std::vector<ReplayUnit> &misses) {
+        return replaySnapshots(ctx, tables(), gsim, misses);
     };
-    return store ? store->fetch(ctx, unit, run) : run();
+    return store ? store->fetch(ctx, units, run) : run(units);
+}
+
+const ReplayTables &
+ReplayEngine::tables()
+{
+    std::call_once(tablesOnce,
+                   [&] { builtTables = std::make_unique<ReplayTables>(ctx); });
+    return *builtTables;
 }
 
 void
 ReplayEngine::workerMain()
 {
+    // Built lazily, only for lanes that must replay alone.
     std::unique_ptr<gate::GateSimulator> gsim;
     for (;;) {
-        Item item;
+        std::vector<Item> batch;
         {
             std::unique_lock<std::mutex> lk(mtx);
             readyCv.wait(lk, [&] { return !queue.empty() || closed; });
             if (queue.empty())
                 return;
-            item = std::move(queue.front());
-            queue.pop_front();
-            ++inFlight;
+            // This worker's share of the queue, at most one pass wide.
+            size_t take = std::min<size_t>(
+                gate::kReplayLanes,
+                (queue.size() + nWorkers - 1) / nWorkers);
+            for (size_t i = 0; i < take; ++i) {
+                batch.push_back(std::move(queue.front()));
+                queue.pop_front();
+            }
+            inFlight += take;
             if (counters.firstReplayStart == 0)
                 counters.firstReplayStart = util::monotonicSeconds();
-            spaceCv.notify_one();
+            spaceCv.notify_all();
         }
         // The slot is the provisional sample index; estimateStreaming()
         // maps it to the final compacted one.
-        ReplayRecord rec = replay(gsim, ReplayUnit{item.slot, item.snap.get()});
+        std::vector<ReplayUnit> units;
+        for (const Item &item : batch)
+            units.push_back(ReplayUnit{item.slot, item.snap.get()});
+        std::vector<ReplayRecord> recs = replay(gsim, units);
         std::lock_guard<std::mutex> lk(mtx);
-        --inFlight;
+        inFlight -= batch.size();
         counters.lastReplayEnd = util::monotonicSeconds();
-        Slot &s = slots[item.slot];
-        if (s.live == item.generation) {
-            s.record = std::move(rec);
-            s.done = true;
-        } else {
-            ++counters.supersededResults;
+        for (size_t i = 0; i < batch.size(); ++i) {
+            Slot &s = slots[batch[i].slot];
+            if (s.live == batch[i].generation) {
+                s.record = std::move(recs[i]);
+                s.done = true;
+            } else {
+                ++counters.supersededResults;
+            }
         }
         doneCv.notify_all();
     }
@@ -293,7 +370,7 @@ ReplayEngine::takeAll()
 ReplayRecord
 ReplayEngine::replayInline(const ReplayUnit &unit)
 {
-    return replay(inlineSim, unit);
+    return std::move(replay(inlineSim, {unit}).front());
 }
 
 ReplayEngine::Stats

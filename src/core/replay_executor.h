@@ -30,6 +30,8 @@
 
 #include "core/energy_sim.h"
 #include "fame/sampler.h"
+#include "gate/program.h"
+#include "power/power_analysis.h"
 
 namespace strober {
 namespace core {
@@ -90,6 +92,33 @@ ReplayRecord replaySnapshot(gate::GateSimulator &gsim,
                             const ReplayContext &ctx,
                             const ReplayUnit &unit);
 
+/** Per-netlist tables every batched replay of a netlist shares
+ *  read-only: the lowered gate program and the power model. */
+struct ReplayTables
+{
+    explicit ReplayTables(const ReplayContext &ctx)
+        : program(ctx.synth.netlist),
+          power(ctx.synth.netlist, ctx.placement)
+    {
+    }
+
+    gate::GateProgram program;
+    power::PowerModel power;
+};
+
+/**
+ * replaySnapshot() over a batch: the record replaySnapshot() would
+ * return for each of @p units, in order. Units replay in lockstep
+ * through gate::replayLanesOnGate on @p tables; a unit that cannot
+ * finish cleanly there (incomplete or mis-shaped snapshot, a cycle
+ * budget it would exceed, a divergence, a passed job deadline) replays
+ * alone through replaySnapshot() on @p gsim, built on first use.
+ */
+std::vector<ReplayRecord>
+replaySnapshots(const ReplayContext &ctx, const ReplayTables &tables,
+                std::unique_ptr<gate::GateSimulator> &gsim,
+                const std::vector<ReplayUnit> &units);
+
 /**
  * Optional result store the engine consults (Config::replayExecutor):
  * a hit stands in for a gate-level replay, a verified miss is stored.
@@ -100,7 +129,9 @@ ReplayRecord replaySnapshot(gate::GateSimulator &gsim,
 class ReplayStore
 {
   public:
-    using Replay = std::function<ReplayRecord()>;
+    /** Replays a batch of units, one record per unit, in order. */
+    using Replay =
+        std::function<std::vector<ReplayRecord>(const std::vector<ReplayUnit> &)>;
 
     virtual ~ReplayStore() = default;
 
@@ -109,20 +140,25 @@ class ReplayStore
     virtual void bind(const ReplayContext &ctx) = 0;
 
     /**
-     * The record for @p unit: a stored one (fromCache set, outcome.index
-     * = unit.index), or the result of @p replay, stored when verified.
+     * The records of @p units, in order: stored ones (fromCache set,
+     * outcome.index = unit.index) for the hits, and for the misses the
+     * records of one call of @p replay on them, stored when verified.
      * Called concurrently from the engine's workers.
      */
-    virtual ReplayRecord fetch(const ReplayContext &ctx,
-                               const ReplayUnit &unit,
-                               const Replay &replay) = 0;
+    virtual std::vector<ReplayRecord> fetch(const ReplayContext &ctx,
+                                            const std::vector<ReplayUnit> &units,
+                                            const Replay &replay) = 0;
 };
 
 /**
  * The replay engine: a bounded queue of (slot, generation, snapshot)
- * items drained by worker threads, each lazily building its own
- * gate-level simulator and funnelling every item through the store (if
- * any) and replaySnapshot(). Records are slot-indexed.
+ * items drained by worker threads. A worker takes up to
+ * gate::kReplayLanes items at a time (its share of the queue), asks the
+ * store (if any) for them, and replays the misses in lockstep through
+ * gate::replayLanesOnGate on one lowering of the netlist shared by all
+ * workers; a lane that cannot finish cleanly there is replayed alone
+ * through replaySnapshot(), so every record is the one replaySnapshot()
+ * would produce. Records are slot-indexed.
  *
  * The feed is the fame::SampleObserver protocol, so estimateStreaming()
  * installs the engine on the sampler and replay overlaps the fast sim:
@@ -217,13 +253,22 @@ class ReplayEngine : public fame::SampleObserver
     };
 
     void workerMain();
-    ReplayRecord replay(std::unique_ptr<gate::GateSimulator> &gsim,
-                        const ReplayUnit &unit);
+    /** Records of @p units through the store (if any) and a batched
+     *  replay of the misses; @p gsim is the lazily built simulator for
+     *  lanes replayed alone. */
+    std::vector<ReplayRecord>
+    replay(std::unique_ptr<gate::GateSimulator> &gsim,
+           const std::vector<ReplayUnit> &units);
+    /** Built on the first miss: store hits never pay for a lowering. */
+    const ReplayTables &tables();
 
     const ReplayContext &ctx;
     ReplayStore *store;
     size_t bound;
+    const unsigned nWorkers;
     std::unique_ptr<gate::GateSimulator> inlineSim; //!< replayInline only
+    std::once_flag tablesOnce;
+    std::unique_ptr<const ReplayTables> builtTables;
 
     mutable std::mutex mtx;
     std::condition_variable readyCv; //!< queue gained work / closed

@@ -54,36 +54,54 @@ CachingReplayExecutor::bind(const core::ReplayContext &ctx)
     configFp = replayConfigFingerprint(ctx.cfg);
 }
 
-ReplayRecord
+std::vector<ReplayRecord>
 CachingReplayExecutor::fetch(const core::ReplayContext &ctx,
-                             const ReplayUnit &unit, const Replay &replay)
+                             const std::vector<ReplayUnit> &units,
+                             const Replay &replay)
 {
-    // An undigestible snapshot replays uncached: the replay path owns
-    // the quarantine decision, not the cache.
-    std::optional<CacheKey> key;
-    Result<fame::SnapshotDigest> digest =
-        fame::snapshotDigest(ctx.chains, *unit.snap);
-    if (digest.isOk()) {
-        uint64_t stalls =
-            ctx.cfg.stallPlan ? ctx.cfg.stallPlan->stallFor(unit.index) : 0;
-        key = makeCacheKey(*digest, netlistFp, configFp,
-                           power::kPowerModelVersion, stalls);
-        std::optional<ReplayRecord> hit = store.lookup(*key);
-        if (hit) {
-            hit->outcome.index = unit.index;
-            return std::move(*hit);
+    std::vector<ReplayRecord> out(units.size());
+    std::vector<std::optional<CacheKey>> keys(units.size());
+    std::vector<ReplayUnit> misses;
+    std::vector<size_t> missAt;
+    for (size_t i = 0; i < units.size(); ++i) {
+        const ReplayUnit &unit = units[i];
+        // An undigestible snapshot replays uncached: the replay path
+        // owns the quarantine decision, not the cache.
+        Result<fame::SnapshotDigest> digest =
+            fame::snapshotDigest(ctx.chains, *unit.snap);
+        if (digest.isOk()) {
+            uint64_t stalls = ctx.cfg.stallPlan
+                                  ? ctx.cfg.stallPlan->stallFor(unit.index)
+                                  : 0;
+            keys[i] = makeCacheKey(*digest, netlistFp, configFp,
+                                   power::kPowerModelVersion, stalls);
+            std::optional<ReplayRecord> hit = store.lookup(*keys[i]);
+            if (hit) {
+                hit->outcome.index = unit.index;
+                out[i] = std::move(*hit);
+                continue;
+            }
         }
+        misses.push_back(unit);
+        missAt.push_back(i);
     }
-    ++executed;
-    ReplayRecord rec = replay();
-    if (key && rec.outcome.replayed()) {
-        Status st = store.store(*key, rec);
-        if (!st.isOk()) {
-            warn("result cache store failed (run continues uncached): %s",
-                 st.toString().c_str());
+    if (misses.empty())
+        return out;
+    executed += misses.size();
+    std::vector<ReplayRecord> fresh = replay(misses);
+    for (size_t m = 0; m < misses.size(); ++m) {
+        size_t i = missAt[m];
+        if (keys[i] && fresh[m].outcome.replayed()) {
+            Status st = store.store(*keys[i], fresh[m]);
+            if (!st.isOk()) {
+                warn("result cache store failed (run continues uncached): "
+                     "%s",
+                     st.toString().c_str());
+            }
         }
+        out[i] = std::move(fresh[m]);
     }
-    return rec;
+    return out;
 }
 
 // ---------------------------------------------------------------------------

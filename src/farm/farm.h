@@ -62,11 +62,13 @@ class CachingReplayExecutor : public core::ReplayStore
     }
 
     void bind(const core::ReplayContext &ctx) override;
-    core::ReplayRecord fetch(const core::ReplayContext &ctx,
-                             const core::ReplayUnit &unit,
-                             const Replay &replay) override;
+    std::vector<core::ReplayRecord>
+    fetch(const core::ReplayContext &ctx,
+          const std::vector<core::ReplayUnit> &units,
+          const Replay &replay) override;
 
-    /** Gate-level replays actually performed (0 on a fully warm cache). */
+    /** Gate-level replays actually performed, one per missed snapshot
+     *  (0 on a fully warm cache). */
     uint64_t replaysExecuted() const { return executed; }
 
     ResultCache &cache() { return store; }

@@ -1,381 +1,21 @@
 #include "gate/gate_sim.h"
 
-#include <algorithm>
-
-#include "util/bits.h"
-#include "util/logging.h"
-
 namespace strober {
 namespace gate {
 
-GateSimulator::GateSimulator(const GateNetlist &netlist) : nl(netlist)
+GateSimulator::GateSimulator(const GateNetlist &netlist)
+    : program(netlist), sim(netlist, program, 1)
 {
-    compileOrder();
-    reset();
 }
 
-void
-GateSimulator::compileOrder()
+const std::vector<uint64_t> &
+GateSimulator::toggleCounts() const
 {
-    size_t n = nl.numNodes();
-    std::vector<uint32_t> pending(n, 0);
-    std::vector<std::vector<NetId>> users(n);
-
-    auto deps = [&](NetId id, auto &&visit) {
-        const GateNode &g = nl.node(id);
-        switch (g.type) {
-          case CellType::PrimaryInput:
-          case CellType::Tie0:
-          case CellType::Tie1:
-          case CellType::Dff:
-            return; // sources
-          case CellType::MacroOut: {
-            uint32_t mi = g.aux >> 16;
-            uint32_t port = (g.aux >> 8) & 0xff;
-            const MacroMem &m = nl.macros()[mi];
-            if (m.syncRead)
-                return; // registered read data: state
-            for (NetId a : m.reads[port].addr)
-                visit(a);
-            if (m.reads[port].en != kNoNet)
-                visit(m.reads[port].en);
-            return;
-          }
-          default:
-            for (NetId in : g.in) {
-                if (in != kNoNet)
-                    visit(in);
-            }
-            return;
-        }
-    };
-
-    for (NetId id = 0; id < n; ++id) {
-        deps(id, [&](NetId dep) {
-            ++pending[id];
-            users[dep].push_back(id);
-        });
+    if (togglesVersion != sim.activityVersion()) {
+        sim.toggleCounts(0, toggles);
+        togglesVersion = sim.activityVersion();
     }
-    std::vector<NetId> ready;
-    combOrder.clear();
-    combOrder.reserve(n);
-    // Kahn's algorithm; sources excluded from the evaluation list.
-    for (NetId id = 0; id < n; ++id) {
-        if (pending[id] == 0)
-            ready.push_back(id);
-    }
-    size_t processed = 0;
-    while (!ready.empty()) {
-        NetId id = ready.back();
-        ready.pop_back();
-        ++processed;
-        const GateNode &g = nl.node(id);
-        bool isEval = !g.dead && g.type != CellType::PrimaryInput &&
-                      g.type != CellType::Tie0 &&
-                      g.type != CellType::Tie1 && g.type != CellType::Dff &&
-                      !(g.type == CellType::MacroOut &&
-                        nl.macros()[g.aux >> 16].syncRead);
-        if (isEval)
-            combOrder.push_back(id);
-        for (NetId u : users[id]) {
-            if (--pending[u] == 0)
-                ready.push_back(u);
-        }
-    }
-    if (processed != n)
-        fatal("gate netlist has a combinational cycle");
-}
-
-void
-GateSimulator::reset()
-{
-    values.assign(nl.numNodes(), 0);
-    toggles.assign(nl.numNodes(), 0);
-    forces.assign(nl.numNodes(), -1);
-    anyForce = false;
-    for (NetId id = 0; id < nl.numNodes(); ++id) {
-        const GateNode &g = nl.node(id);
-        if (g.type == CellType::Tie1)
-            values[id] = 1;
-        else if (g.type == CellType::Dff)
-            values[id] = g.init;
-    }
-    macroContents.clear();
-    macroAcc.assign(nl.macros().size(), MacroStats{});
-    syncReadPending.clear();
-    for (const MacroMem &m : nl.macros()) {
-        macroContents.emplace_back(m.depth, 0);
-        for (size_t i = 0; i < m.init.size(); ++i)
-            macroContents.back()[i] = m.init[i];
-        syncReadPending.emplace_back(m.reads.size() * m.width, 0);
-    }
-    dffPending.assign(nl.numNodes(), 0);
-    cycleCount = 0;
-    activityStart = 0;
-    combStale = true;
-    // Settle the reset state so the first cycle's activity reflects real
-    // switching, not the zero-to-reset-value transition.
-    evalComb();
-    std::fill(toggles.begin(), toggles.end(), 0);
-}
-
-void
-GateSimulator::pokePort(size_t idx, uint64_t value)
-{
-    const BitPort &p = nl.inputs().at(idx);
-    for (size_t b = 0; b < p.bits.size(); ++b) {
-        uint8_t v = (value >> b) & 1;
-        if (values[p.bits[b]] != v) {
-            ++toggles[p.bits[b]];
-            values[p.bits[b]] = v;
-            combStale = true;
-        }
-    }
-}
-
-uint64_t
-GateSimulator::peekPort(size_t idx)
-{
-    if (combStale)
-        evalComb();
-    return busValue(nl.outputs().at(idx).bits);
-}
-
-uint64_t
-GateSimulator::busValue(const std::vector<NetId> &bitNets) const
-{
-    uint64_t v = 0;
-    for (size_t b = 0; b < bitNets.size(); ++b)
-        v |= static_cast<uint64_t>(values[bitNets[b]] & 1) << b;
-    return v;
-}
-
-void
-GateSimulator::evalComb()
-{
-    if (anyForce) {
-        // Forces on source nets (PIs, DFF outputs, ties) are applied up
-        // front; comb nets are overridden at evaluation time below.
-        for (NetId id : forcedNets)
-            values[id] = static_cast<uint8_t>(forces[id]);
-    }
-    for (NetId id : combOrder) {
-        const GateNode &g = nl.node(id);
-        uint8_t r = 0;
-        switch (g.type) {
-          case CellType::Buf:
-            r = values[g.in[0]];
-            break;
-          case CellType::Inv:
-            r = values[g.in[0]] ^ 1;
-            break;
-          case CellType::And2:
-            r = values[g.in[0]] & values[g.in[1]];
-            break;
-          case CellType::Or2:
-            r = values[g.in[0]] | values[g.in[1]];
-            break;
-          case CellType::Nand2:
-            r = (values[g.in[0]] & values[g.in[1]]) ^ 1;
-            break;
-          case CellType::Nor2:
-            r = (values[g.in[0]] | values[g.in[1]]) ^ 1;
-            break;
-          case CellType::Xor2:
-            r = values[g.in[0]] ^ values[g.in[1]];
-            break;
-          case CellType::Xnor2:
-            r = values[g.in[0]] ^ values[g.in[1]] ^ 1;
-            break;
-          case CellType::Mux2:
-            r = values[g.in[0]] ? values[g.in[1]] : values[g.in[2]];
-            break;
-          case CellType::MacroOut: {
-            // Async read data bit.
-            uint32_t mi = g.aux >> 16;
-            uint32_t port = (g.aux >> 8) & 0xff;
-            uint32_t bitIdx = g.aux & 0xff;
-            const MacroMem &m = nl.macros()[mi];
-            uint64_t addr = busValue(m.reads[port].addr);
-            uint64_t word =
-                addr < m.depth ? macroContents[mi][addr] : 0;
-            r = static_cast<uint8_t>((word >> bitIdx) & 1);
-            break;
-          }
-          default:
-            panic("unexpected cell in comb order");
-        }
-        if (anyForce && forces[id] >= 0)
-            r = static_cast<uint8_t>(forces[id]);
-        if (values[id] != r) {
-            ++toggles[id];
-            values[id] = r;
-        }
-    }
-    evalCount += combOrder.size();
-    combStale = false;
-}
-
-void
-GateSimulator::step(uint64_t n)
-{
-    for (uint64_t k = 0; k < n; ++k) {
-        if (combStale)
-            evalComb();
-
-        // Latch DFF next values.
-        for (NetId id : nl.dffs())
-            dffPending[id] = values[nl.node(id).in[0]];
-
-        // Sync macro reads latch old contents; count accesses.
-        for (size_t mi = 0; mi < nl.macros().size(); ++mi) {
-            const MacroMem &m = nl.macros()[mi];
-            if (m.syncRead) {
-                for (size_t p = 0; p < m.reads.size(); ++p) {
-                    const auto &port = m.reads[p];
-                    bool en =
-                        port.en == kNoNet || values[port.en];
-                    if (!en)
-                        continue;
-                    uint64_t addr = busValue(port.addr);
-                    uint64_t word =
-                        addr < m.depth ? macroContents[mi][addr] : 0;
-                    for (unsigned b = 0; b < m.width; ++b)
-                        syncReadPending[mi][p * m.width + b] =
-                            static_cast<uint8_t>((word >> b) & 1);
-                    ++macroAcc[mi].reads;
-                }
-            } else {
-                // Async ports burn a read access every cycle.
-                macroAcc[mi].reads += m.reads.size();
-            }
-        }
-
-        // Macro writes (after reads: read-before-write).
-        for (size_t mi = 0; mi < nl.macros().size(); ++mi) {
-            const MacroMem &m = nl.macros()[mi];
-            for (const auto &port : m.writes) {
-                bool en = port.en == kNoNet || values[port.en];
-                if (!en)
-                    continue;
-                uint64_t addr = busValue(port.addr);
-                if (addr < m.depth)
-                    macroContents[mi][addr] = busValue(port.data);
-                ++macroAcc[mi].writes;
-            }
-        }
-
-        // Commit state, counting output toggles.
-        for (NetId id : nl.dffs()) {
-            if (values[id] != dffPending[id]) {
-                ++toggles[id];
-                values[id] = dffPending[id];
-            }
-        }
-        for (size_t mi = 0; mi < nl.macros().size(); ++mi) {
-            const MacroMem &m = nl.macros()[mi];
-            if (!m.syncRead)
-                continue;
-            for (size_t p = 0; p < m.reads.size(); ++p) {
-                const auto &port = m.reads[p];
-                bool en = port.en == kNoNet || values[port.en];
-                if (!en)
-                    continue;
-                for (unsigned b = 0; b < m.width; ++b) {
-                    NetId net = port.data[b];
-                    uint8_t v = syncReadPending[mi][p * m.width + b];
-                    if (values[net] != v) {
-                        ++toggles[net];
-                        values[net] = v;
-                    }
-                }
-            }
-        }
-
-        if (dutyTracking) {
-            if (highTime.size() != values.size())
-                highTime.assign(values.size(), 0);
-            for (size_t i = 0; i < values.size(); ++i)
-                highTime[i] += values[i];
-        }
-
-        ++cycleCount;
-        combStale = true;
-    }
-}
-
-void
-GateSimulator::clearActivity()
-{
-    std::fill(toggles.begin(), toggles.end(), 0);
-    std::fill(highTime.begin(), highTime.end(), 0);
-    macroAcc.assign(nl.macros().size(), MacroStats{});
-    activityStart = cycleCount;
-}
-
-void
-GateSimulator::setDff(NetId net, bool value)
-{
-    if (nl.node(net).type != CellType::Dff)
-        fatal("setDff on non-DFF net %u ('%s')", net,
-              nl.node(net).name.c_str());
-    values[net] = value;
-    combStale = true;
-}
-
-uint64_t
-GateSimulator::macroWord(size_t macroIdx, uint64_t addr) const
-{
-    return macroContents.at(macroIdx).at(addr);
-}
-
-void
-GateSimulator::setMacroWord(size_t macroIdx, uint64_t addr, uint64_t value)
-{
-    const MacroMem &m = nl.macros().at(macroIdx);
-    macroContents.at(macroIdx).at(addr) = truncate(value, m.width);
-    combStale = true;
-}
-
-uint64_t
-GateSimulator::macroReadData(size_t macroIdx, size_t port) const
-{
-    const MacroMem &m = nl.macros().at(macroIdx);
-    uint64_t v = 0;
-    for (unsigned b = 0; b < m.width; ++b)
-        v |= static_cast<uint64_t>(values[m.reads[port].data[b]] & 1) << b;
-    return v;
-}
-
-void
-GateSimulator::setMacroReadData(size_t macroIdx, size_t port, uint64_t value)
-{
-    const MacroMem &m = nl.macros().at(macroIdx);
-    if (!m.syncRead)
-        fatal("setMacroReadData on async macro '%s'", m.name.c_str());
-    for (unsigned b = 0; b < m.width; ++b)
-        values[m.reads[port].data[b]] = (value >> b) & 1;
-    combStale = true;
-}
-
-void
-GateSimulator::forceNet(NetId net, bool value)
-{
-    if (forces[net] < 0)
-        forcedNets.push_back(net);
-    forces[net] = value ? 1 : 0;
-    anyForce = true;
-    combStale = true;
-}
-
-void
-GateSimulator::releaseForces()
-{
-    for (NetId id : forcedNets)
-        forces[id] = -1;
-    forcedNets.clear();
-    anyForce = false;
-    combStale = true;
+    return toggles;
 }
 
 } // namespace gate

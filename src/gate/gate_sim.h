@@ -11,6 +11,10 @@
  * toggle count increments whenever its settled value differs from the
  * previous cycle's settled value. SRAM macros count read and write
  * accesses instead (their energy is per-access, as in real flows).
+ *
+ * This is the one-lane face of the lane evaluator (gate/lane_sim.h):
+ * the netlist is lowered once per simulator and run over byte-wide lane
+ * words of which lane 0 is used.
  */
 
 #ifndef STROBER_GATE_GATE_SIM_H
@@ -19,91 +23,99 @@
 #include <cstdint>
 #include <vector>
 
+#include "gate/lane_sim.h"
 #include "gate/netlist.h"
+#include "gate/program.h"
 
 namespace strober {
 namespace gate {
-
-/** Per-macro access counters. */
-struct MacroStats
-{
-    uint64_t reads = 0;
-    uint64_t writes = 0;
-};
 
 /** Cycle-based two-valued gate-level simulator. */
 class GateSimulator
 {
   public:
     explicit GateSimulator(const GateNetlist &netlist);
+    /** The evaluator refers to this simulator's own program. */
+    GateSimulator(const GateSimulator &) = delete;
+    GateSimulator &operator=(const GateSimulator &) = delete;
 
-    const GateNetlist &netlist() const { return nl; }
+    const GateNetlist &netlist() const { return sim.netlist(); }
 
     /** DFFs to their init values, macros to zero, counters cleared. */
-    void reset();
+    void reset() { sim.reset(); }
 
     /** Drive input port @p idx with @p value (bit-sliced onto PI nets). */
-    void pokePort(size_t idx, uint64_t value);
+    void pokePort(size_t idx, uint64_t value) { sim.pokePort(idx, &value); }
     /** Read output port @p idx (evaluates if stale). */
-    uint64_t peekPort(size_t idx);
+    uint64_t
+    peekPort(size_t idx)
+    {
+        uint64_t v = 0;
+        sim.peekPort(idx, &v);
+        return v;
+    }
 
-    void evalComb();
-    void step(uint64_t n = 1);
-    uint64_t cycle() const { return cycleCount; }
+    void evalComb() { sim.evalComb(); }
+    void step(uint64_t n = 1) { sim.step(n); }
+    uint64_t cycle() const { return sim.cycle(); }
 
     /** Per-net toggle counts since the last clearActivity(). */
-    const std::vector<uint64_t> &toggleCounts() const { return toggles; }
-    const std::vector<MacroStats> &macroStats() const { return macroAcc; }
+    const std::vector<uint64_t> &toggleCounts() const;
+    const std::vector<MacroStats> &macroStats() const
+    {
+        return sim.macroStats(0);
+    }
     /** Cycles elapsed since the last clearActivity(). */
-    uint64_t activityCycles() const { return cycleCount - activityStart; }
-    void clearActivity();
+    uint64_t activityCycles() const { return sim.activityCycles(); }
+    void clearActivity() { sim.clearActivity(); }
 
     /** Gate evaluations executed (simulation-rate reporting). */
-    uint64_t gateEvals() const { return evalCount; }
+    uint64_t gateEvals() const { return sim.gateEvals(); }
 
     /** Collect per-net time-at-1 (SAIF T0/T1); costs ~one pass/cycle. */
-    void enableDutyTracking() { dutyTracking = true; }
+    void enableDutyTracking() { sim.enableDutyTracking(); }
     /** Cycles each net spent at 1 since clearActivity (empty unless
      *  duty tracking is enabled). */
-    const std::vector<uint64_t> &highCycles() const { return highTime; }
+    const std::vector<uint64_t> &highCycles() const
+    {
+        return sim.highCycles();
+    }
 
     // --- State access (loaders / verification) -------------------------
-    bool dffValue(NetId net) const { return values[net] != 0; }
-    void setDff(NetId net, bool value);
-    uint64_t macroWord(size_t macroIdx, uint64_t addr) const;
-    void setMacroWord(size_t macroIdx, uint64_t addr, uint64_t value);
+    bool dffValue(NetId net) const { return sim.netValue(net, 0); }
+    void setDff(NetId net, bool value) { sim.setDff(net, 0, value); }
+    uint64_t
+    macroWord(size_t macroIdx, uint64_t addr) const
+    {
+        return sim.macroWord(macroIdx, 0, addr);
+    }
+    void
+    setMacroWord(size_t macroIdx, uint64_t addr, uint64_t value)
+    {
+        sim.setMacroWord(macroIdx, 0, addr, value);
+    }
     /** Registered read data of a sync macro port. */
-    uint64_t macroReadData(size_t macroIdx, size_t port) const;
-    void setMacroReadData(size_t macroIdx, size_t port, uint64_t value);
+    uint64_t
+    macroReadData(size_t macroIdx, size_t port) const
+    {
+        return sim.macroReadData(macroIdx, port, 0);
+    }
+    void
+    setMacroReadData(size_t macroIdx, size_t port, uint64_t value)
+    {
+        sim.setMacroReadData(macroIdx, port, 0, value);
+    }
 
     // --- Forcing (retiming warm-up) --------------------------------------
     /** Override a net's value during evaluation until released. */
-    void forceNet(NetId net, bool value);
-    void releaseForces();
+    void forceNet(NetId net, bool value) { sim.forceNet(net, 0, value); }
+    void releaseForces() { sim.releaseForces(); }
 
   private:
-    const GateNetlist &nl;
-    std::vector<uint8_t> values;
-    std::vector<uint64_t> toggles;
-    std::vector<uint64_t> highTime;
-    bool dutyTracking = false;
-    std::vector<int8_t> forces; //!< -1 none, else forced value
-    std::vector<NetId> forcedNets;
-    bool anyForce = false;
-    std::vector<std::vector<uint64_t>> macroContents;
-    std::vector<MacroStats> macroAcc;
-    std::vector<uint8_t> dffPending;
-    std::vector<std::vector<uint8_t>> syncReadPending; //!< [macro][port*w+b]
-    std::vector<NetId> combOrder;
-    uint64_t cycleCount = 0;
-    uint64_t activityStart = 0;
-    uint64_t evalCount = 0;
-    bool combStale = true;
-
-    void compileOrder();
-    uint64_t busValue(const std::vector<NetId> &bitNets) const;
-    void setBus(const std::vector<NetId> &bitNets, uint64_t value,
-                bool countToggles);
+    GateProgram program;
+    LaneSimulator<uint8_t> sim;
+    mutable std::vector<uint64_t> toggles;
+    mutable uint64_t togglesVersion = ~0ull; //!< sim version of toggles
 };
 
 } // namespace gate

@@ -16,12 +16,14 @@
 #define STROBER_GATE_REPLAY_H
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "fame/token_sim.h"
 #include "gate/gate_sim.h"
 #include "gate/matching.h"
+#include "gate/program.h"
 #include "gate/state_loader.h"
 #include "util/status.h"
 
@@ -87,6 +89,44 @@ replayOnGate(GateSimulator &gsim, const rtl::Design &target,
     options.loader = loader;
     return replayOnGate(gsim, target, table, snap, options);
 }
+
+/** One snapshot of a batched replay. */
+struct ReplayLane
+{
+    const fame::ReplayableSnapshot *snap = nullptr;
+    ReplayOptions options;
+};
+
+/**
+ * Snapshots one batched pass replays in lockstep at most: the lane width
+ * measured fastest that keeps a replay worker's footprint small (see
+ * DESIGN.md, "Batched gate replay").
+ */
+constexpr unsigned kReplayLanes = 16;
+
+/** Called with each cleanly replayed lane's result; the result is only
+ *  valid during the call. */
+using LaneResultFn =
+    std::function<void(size_t lane, const GateReplayResult &result)>;
+
+/**
+ * Replay @p lanes on @p netlist (lowered as @p program) in lockstep
+ * passes of up to @p maxLanes snapshots: warm-up through per-lane force
+ * masks, per-lane state load, then the I/O trace with every lane's
+ * output tokens checked. A lane replays cleanly when replayOnGate would
+ * succeed on it with no output mismatch; @p onLane then receives exactly
+ * the result replayOnGate would return, one lane at a time in lane
+ * order. @return per lane, whether it replayed cleanly. Every other
+ * lane (incomplete or mis-shaped snapshot, a budget it would exceed, a
+ * divergence) is left to replayOnGate, which reproduces its outcome.
+ */
+std::vector<bool> replayLanesOnGate(const GateProgram &program,
+                                    const GateNetlist &netlist,
+                                    const rtl::Design &target,
+                                    const MatchTable &table,
+                                    const std::vector<ReplayLane> &lanes,
+                                    const LaneResultFn &onLane,
+                                    unsigned maxLanes = kReplayLanes);
 
 } // namespace gate
 } // namespace strober

@@ -44,6 +44,18 @@ LoaderKind alternateLoader(LoaderKind kind);
 double loaderCommandRate(LoaderKind kind);
 
 /**
+ * Check that @p state's shape (register count, memory depths, sync-read
+ * ports) matches @p target: GeometryMismatch otherwise.
+ */
+util::Status checkStateShape(const rtl::Design &target,
+                             const fame::StateSnapshot &state);
+
+/** The accounting of one load of @p target's state with @p kind (the
+ *  same for every snapshot of the design). */
+LoadReport loadAccounting(const rtl::Design &target,
+                          const MatchTable &table, LoaderKind kind);
+
+/**
  * Load @p state into @p gsim using the match table. Registers dissolved
  * by retiming are skipped (replay warm-up recovers them). Commands are
  * one per flip-flop bit plus one per memory word. Fails with

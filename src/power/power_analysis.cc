@@ -60,8 +60,54 @@ PowerReport::table() const
     return os.str();
 }
 
+PowerModel::PowerModel(const gate::GateNetlist &nl,
+                       const gate::Placement &placement)
+    : netCapFf(nl.numNodes(), 0.0)
+{
+    // Fanout pin capacitance per net.
+    for (NetId id = 0; id < nl.numNodes(); ++id) {
+        const GateNode &n = nl.node(id);
+        if (n.dead)
+            continue;
+        double inCap = gate::cellSpec(n.type).inputCapFf;
+        for (NetId in : n.in) {
+            if (in != kNoNet)
+                netCapFf[in] += inCap;
+        }
+    }
+    // Macro pins load their address/data/enable nets too.
+    for (const gate::MacroMem &m : nl.macros()) {
+        auto loadPins = [&](const std::vector<NetId> &nets) {
+            for (NetId id : nets)
+                netCapFf[id] += 1.5; // SRAM pin cap (fF)
+        };
+        for (const auto &r : m.reads) {
+            loadPins(r.addr);
+            if (r.en != kNoNet)
+                netCapFf[r.en] += 1.5;
+        }
+        for (const auto &w : m.writes) {
+            loadPins(w.addr);
+            loadPins(w.data);
+            if (w.en != kNoNet)
+                netCapFf[w.en] += 1.5;
+        }
+    }
+    // Plus the wire (one IEEE addition, so the order of its operands
+    // does not change the sum).
+    for (NetId id = 0; id < nl.numNodes(); ++id)
+        netCapFf[id] += placement.netWireCapFf[id];
+}
+
 PowerReport
 analyzePower(const gate::GateNetlist &nl, const gate::Placement &placement,
+             const gate::ActivityReport &activity, double clockHz)
+{
+    return analyzePower(nl, PowerModel(nl, placement), activity, clockHz);
+}
+
+PowerReport
+analyzePower(const gate::GateNetlist &nl, const PowerModel &model,
              const gate::ActivityReport &activity, double clockHz)
 {
     if (activity.cycles == 0)
@@ -78,37 +124,6 @@ analyzePower(const gate::GateNetlist &nl, const gate::Placement &placement,
         report.groups[g].group = nl.groupNames()[g];
 
     double seconds = static_cast<double>(activity.cycles) / clockHz;
-
-    // Fanout pin capacitance per net.
-    std::vector<double> fanoutCapFf(nl.numNodes(), 0.0);
-    for (NetId id = 0; id < nl.numNodes(); ++id) {
-        const GateNode &n = nl.node(id);
-        if (n.dead)
-            continue;
-        double inCap = gate::cellSpec(n.type).inputCapFf;
-        for (NetId in : n.in) {
-            if (in != kNoNet)
-                fanoutCapFf[in] += inCap;
-        }
-    }
-    // Macro pins load their address/data/enable nets too.
-    for (const gate::MacroMem &m : nl.macros()) {
-        auto loadPins = [&](const std::vector<NetId> &nets) {
-            for (NetId id : nets)
-                fanoutCapFf[id] += 1.5; // SRAM pin cap (fF)
-        };
-        for (const auto &r : m.reads) {
-            loadPins(r.addr);
-            if (r.en != kNoNet)
-                fanoutCapFf[r.en] += 1.5;
-        }
-        for (const auto &w : m.writes) {
-            loadPins(w.addr);
-            loadPins(w.data);
-            if (w.en != kNoNet)
-                fanoutCapFf[w.en] += 1.5;
-        }
-    }
 
     const double v2 = lib.vdd * lib.vdd;
     for (NetId id = 0; id < nl.numNodes(); ++id) {
@@ -127,7 +142,7 @@ analyzePower(const gate::GateNetlist &nl, const gate::Placement &placement,
         if (toggles == 0)
             continue;
         double toggleRate = static_cast<double>(toggles) / seconds;
-        double capF = (placement.netWireCapFf[id] + fanoutCapFf[id]) * 1e-15;
+        double capF = model.netCapFf[id] * 1e-15;
         g.switching += 0.5 * capF * v2 * toggleRate;
         g.internal += spec.internalEnFj * 1e-15 * toggleRate;
     }

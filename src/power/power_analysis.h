@@ -63,7 +63,26 @@ struct PowerReport
     std::string table() const;
 };
 
+/**
+ * The part of the model that depends only on the netlist and its
+ * placement: each net's switched capacitance (wire plus fanout pins).
+ * Built once per netlist and shared read-only by every analysis of it.
+ */
+struct PowerModel
+{
+    PowerModel(const gate::GateNetlist &netlist,
+               const gate::Placement &placement);
+
+    std::vector<double> netCapFf; //!< per net: wire + fanout pin cap
+};
+
 /** Analyze one activity window. @p clockHz is the target clock. */
+PowerReport analyzePower(const gate::GateNetlist &netlist,
+                         const PowerModel &model,
+                         const gate::ActivityReport &activity,
+                         double clockHz);
+
+/** As above, building the netlist's PowerModel for this one call. */
 PowerReport analyzePower(const gate::GateNetlist &netlist,
                          const gate::Placement &placement,
                          const gate::ActivityReport &activity,

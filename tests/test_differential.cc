@@ -196,9 +196,10 @@ TEST_P(Differential, ResetMidRunStaysEquivalent)
             for (const rtl::OutputPort &out : d.outputs()) {
                 ASSERT_EQ(act.peek(out.node), full.peek(out.node))
                     << "seed " << seed << " cycle " << c;
-                if (comp)
+                if (comp) {
                     ASSERT_EQ(comp->peek(out.node), full.peek(out.node))
                         << "compiled seed " << seed << " cycle " << c;
+                }
             }
             full.step();
             act.step();

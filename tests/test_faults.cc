@@ -156,10 +156,12 @@ expectCoherentReport(const EnergyReport &report, size_t expectedSnapshots)
         EXPECT_TRUE(report.valid);
         EXPECT_EQ(report.replayMismatches, 0u);
     }
-    if (!report.valid)
+    if (!report.valid) {
         EXPECT_FALSE(report.statusMessage.empty());
-    if (report.valid)
+    }
+    if (report.valid) {
         EXPECT_GT(report.averagePower.mean, 0.0);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -184,9 +186,10 @@ TEST(FaultMatrix, StateBitFlipNeverCrashesAndNeverLies)
     // these 64 cycles (harmless: replay verifies clean). Both are fine;
     // a crash or an unflagged wrong estimate is not.
     for (const SnapshotOutcome &oc : report.outcomes) {
-        if (oc.index != 1)
+        if (oc.index != 1) {
             EXPECT_TRUE(oc.replayed()) << "collateral quarantine of "
                                        << oc.index << ": " << oc.detail;
+        }
     }
     if (isDefaultSeed()) {
         // The default seed is chosen to land in live state.

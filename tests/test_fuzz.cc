@@ -14,6 +14,9 @@
  *   - end-to-end snapshot replay at gate level.
  */
 
+#include <memory>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "fame/fame1.h"
@@ -21,6 +24,7 @@
 #include "fame/scan_chain.h"
 #include "fame/token_sim.h"
 #include "gate/gate_sim.h"
+#include "gate/lane_sim.h"
 #include "gate/matching.h"
 #include "gate/replay.h"
 #include "gate/synthesis.h"
@@ -63,6 +67,40 @@ TEST_P(Fuzz, GateNetlistLockstepsWithRtl)
         }
         rtl.step();
         gates.step();
+    }
+
+    // The lane evaluator: every lane its own stimulus and RTL reference.
+    constexpr unsigned kLanes = gate::kReplayLanes - 1;
+    gate::GateProgram program(synth.netlist);
+    gate::LaneSimulator<uint16_t> lanes(synth.netlist, program, kLanes);
+    std::vector<std::unique_ptr<sim::Simulator>> refs;
+    std::vector<stats::Rng> streams;
+    for (unsigned k = 0; k < kLanes; ++k) {
+        refs.push_back(std::make_unique<sim::Simulator>(d));
+        streams.emplace_back(GetParam() * 131 + k);
+    }
+    uint64_t in[16] = {};
+    uint64_t out[16] = {};
+    for (int cycle = 0; cycle < 150; ++cycle) {
+        for (size_t i = 0; i < d.inputs().size(); ++i) {
+            for (unsigned k = 0; k < kLanes; ++k) {
+                uint64_t v = streams[k].next();
+                refs[k]->poke(d.inputs()[i], v);
+                in[k] = truncate(v, d.node(d.inputs()[i]).width);
+            }
+            lanes.pokePort(i, in);
+        }
+        for (size_t o = 0; o < d.outputs().size(); ++o) {
+            lanes.peekPort(o, out);
+            for (unsigned k = 0; k < kLanes; ++k) {
+                ASSERT_EQ(out[k], refs[k]->peek(d.outputs()[o].node))
+                    << "seed " << GetParam() << " cycle " << cycle
+                    << " lane " << k << " output " << o;
+            }
+        }
+        for (auto &r : refs)
+            r->step();
+        lanes.step();
     }
 }
 
@@ -141,21 +179,49 @@ TEST_P(Fuzz, EndToEndGateReplay)
         }
     };
     drive(90);
-    fame::ReplayableSnapshot snap;
-    ts.captureSnapshot(chains, &snap, 48);
-    drive(48);
-    ASSERT_TRUE(snap.complete);
+    // Snapshots at several points, replayed alone and in one batch.
+    std::vector<fame::ReplayableSnapshot> snaps(5);
+    for (fame::ReplayableSnapshot &snap : snaps) {
+        ts.captureSnapshot(chains, &snap, 48);
+        drive(48);
+        ASSERT_TRUE(snap.complete);
+    }
 
     gate::SynthesisResult synth = gate::synthesize(d);
     gate::MatchTable table =
         gate::matchDesigns(d, synth.netlist, synth.guide);
     gate::GateSimulator gsim(synth.netlist);
-    util::Result<gate::GateReplayResult> r =
-        gate::replayOnGate(gsim, d, table, snap);
-    ASSERT_TRUE(r.isOk()) << "seed " << GetParam() << ": "
-                          << r.status().toString();
-    EXPECT_TRUE(r->ok()) << "seed " << GetParam() << ": "
-                         << r->firstMismatch;
+    std::vector<gate::GateReplayResult> alone;
+    std::vector<gate::ReplayLane> lanes;
+    for (const fame::ReplayableSnapshot &snap : snaps) {
+        util::Result<gate::GateReplayResult> r =
+            gate::replayOnGate(gsim, d, table, snap);
+        ASSERT_TRUE(r.isOk()) << "seed " << GetParam() << ": "
+                              << r.status().toString();
+        EXPECT_TRUE(r->ok()) << "seed " << GetParam() << ": "
+                             << r->firstMismatch;
+        alone.push_back(std::move(*r));
+        lanes.push_back(gate::ReplayLane{&snap, {}});
+    }
+
+    gate::GateProgram program(synth.netlist);
+    size_t handed = 0;
+    std::vector<bool> clean = gate::replayLanesOnGate(
+        program, synth.netlist, d, table, lanes,
+        [&](size_t k, const gate::GateReplayResult &r) {
+            ++handed;
+            EXPECT_EQ(r.cyclesReplayed, alone[k].cyclesReplayed);
+            EXPECT_EQ(r.activity.cycles, alone[k].activity.cycles);
+            EXPECT_EQ(r.activity.netToggles, alone[k].activity.netToggles)
+                << "seed " << GetParam() << " lane " << k;
+            for (size_t m = 0; m < r.activity.macroAccesses.size(); ++m) {
+                EXPECT_EQ(r.activity.macroAccesses[m].reads,
+                          alone[k].activity.macroAccesses[m].reads);
+                EXPECT_EQ(r.activity.macroAccesses[m].writes,
+                          alone[k].activity.macroAccesses[m].writes);
+            }
+        });
+    EXPECT_EQ(handed, snaps.size()) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fuzz,
