@@ -78,6 +78,7 @@ struct BackendRun
 {
     uint64_t cycles = 0;
     double evalsPerCycle = 0;
+    double commitsPerCycle = 0;
     double activity = 0;
     double wallSeconds = 0;
     sim::Backend effective = sim::Backend::InterpretedFull;
@@ -107,6 +108,9 @@ runBackend(const rtl::Design &soc, const workloads::Workload &wl,
     r.evalsPerCycle = r.cycles ? static_cast<double>(s.nodeEvals()) /
                                      static_cast<double>(r.cycles)
                                : 0;
+    r.commitsPerCycle = r.cycles ? static_cast<double>(s.commitEvals()) /
+                                       static_cast<double>(r.cycles)
+                                 : 0;
     r.activity = s.activityFactor();
     r.effective = s.backend();
     return r;
@@ -117,9 +121,9 @@ backendContrast(const rtl::Design &soc, bench::JsonSink &json)
 {
     bench::banner(
         "backends: full vs activity vs compiled vs compiled-parallel");
-    std::printf("%-12s %-9s %12s %13s %9s %10s %8s\n", "benchmark",
-                "backend", "cycles", "evals/cycle", "activity", "wall(s)",
-                "speedup");
+    std::printf("%-12s %-9s %12s %13s %14s %9s %10s %8s\n", "benchmark",
+                "backend", "cycles", "evals/cycle", "commits/cycle",
+                "activity", "wall(s)", "speedup");
     workloads::Workload wls[] = {
         workloads::linuxbootLike(24),
         workloads::coremarkLite(40),
@@ -143,10 +147,12 @@ backendContrast(const rtl::Design &soc, bench::JsonSink &json)
             double speedup = r.wallSeconds > 0
                                  ? full.wallSeconds / r.wallSeconds
                                  : 0;
-            std::printf("%-12s %-9s %12llu %13.1f %8.1f%% %10.3f %7.2fx\n",
-                        wl.name.c_str(), sim::backendName(backend),
-                        (unsigned long long)r.cycles, r.evalsPerCycle,
-                        100.0 * r.activity, r.wallSeconds, speedup);
+            std::printf(
+                "%-12s %-9s %12llu %13.1f %14.1f %8.1f%% %10.3f %7.2fx\n",
+                wl.name.c_str(), sim::backendName(backend),
+                (unsigned long long)r.cycles, r.evalsPerCycle,
+                r.commitsPerCycle, 100.0 * r.activity, r.wallSeconds,
+                speedup);
             json.row(std::string("backend_") + wl.name + "_" +
                      sim::backendName(backend))
                 .str("design", "boom2w")
@@ -159,6 +165,7 @@ backendContrast(const rtl::Design &soc, bench::JsonSink &json)
                 .num("cycles_per_sec", r.cyclesPerSec())
                 .num("speedup", speedup)
                 .num("evals_per_cycle", r.evalsPerCycle)
+                .num("commits_per_cycle", r.commitsPerCycle)
                 .num("activity", r.activity)
                 .num("threads",
                      backend == sim::Backend::CompiledParallel

@@ -94,8 +94,12 @@ Simulator::buildTables()
 
     syncReadCommits.clear();
     memWriteCommits.clear();
+    const uint32_t numRegs = static_cast<uint32_t>(regCommits.size());
+    memSyncReadBegin.assign(dsn.mems().size() + 1, numRegs);
     for (size_t mi = 0; mi < dsn.mems().size(); ++mi) {
         const rtl::MemInfo &m = dsn.mems()[mi];
+        memSyncReadBegin[mi] =
+            numRegs + static_cast<uint32_t>(syncReadCommits.size());
         if (m.syncRead) {
             for (const rtl::MemReadPort &p : m.reads) {
                 SyncReadCommit c;
@@ -117,39 +121,78 @@ Simulator::buildTables()
             memWriteCommits.push_back(c);
         }
     }
+    const uint32_t numUnits =
+        numRegs + static_cast<uint32_t>(syncReadCommits.size());
+    memSyncReadBegin.back() = numUnits;
+    allUnits.resize(numUnits);
+    for (uint32_t u = 0; u < numUnits; ++u)
+        allUnits[u] = u;
+    unitList.reserve(numUnits);
+    unitPending.resize(numUnits);
 
-    // Per-slot fanout over the hot program, in CSR form: the steps that
-    // must re-run when a slot's value changes. Async memory reads are
-    // additionally grouped per memory (marked on memory writes).
-    const auto &hot = evalPlan.hotProgram;
-    memReadSteps.assign(dsn.mems().size(), {});
-    std::vector<uint32_t> counts(evalPlan.numSlots + 1, 0);
-    auto forEachOperand = [&](const EvalStep &s, auto &&fn) {
-        if (s.op == Op::MemRead) {
-            fn(s.b);
-            return;
-        }
-        unsigned arity = rtl::opArity(s.op);
-        if (arity >= 1)
-            fn(s.a);
-        if (arity >= 2)
-            fn(s.b);
-        if (arity >= 3)
-            fn(s.c);
+    // Inverts an item -> slots relation into per-slot CSR form: the
+    // items to mark when a slot's value changes.
+    auto buildFanout = [&](uint32_t numItems, auto &&forEachSlot,
+                           std::vector<uint32_t> &begin,
+                           std::vector<uint32_t> &items) {
+        begin.assign(evalPlan.numSlots + 1, 0);
+        for (uint32_t i = 0; i < numItems; ++i)
+            forEachSlot(i, [&](SlotId slot) { ++begin[slot + 1]; });
+        for (size_t i = 1; i < begin.size(); ++i)
+            begin[i] += begin[i - 1];
+        items.assign(begin.back(), 0);
+        std::vector<uint32_t> fill(begin.begin(), begin.end() - 1);
+        for (uint32_t i = 0; i < numItems; ++i)
+            forEachSlot(i, [&](SlotId slot) { items[fill[slot]++] = i; });
     };
-    for (const EvalStep &s : hot)
-        forEachOperand(s, [&](SlotId slot) { ++counts[slot + 1]; });
-    for (size_t i = 1; i < counts.size(); ++i)
-        counts[i] += counts[i - 1];
-    fanoutBegin = counts;
-    fanoutSteps.assign(counts.back(), 0);
-    std::vector<uint32_t> fill(fanoutBegin.begin(), fanoutBegin.end());
-    for (uint32_t i = 0; i < hot.size(); ++i) {
-        forEachOperand(hot[i],
-                       [&](SlotId slot) { fanoutSteps[fill[slot]++] = i; });
+
+    // The hot steps that must re-run when a slot changes. Async memory
+    // reads are additionally grouped per memory (marked on writes).
+    const auto &hot = evalPlan.hotProgram;
+    buildFanout(
+        static_cast<uint32_t>(hot.size()),
+        [&](uint32_t i, auto &&fn) {
+            const EvalStep &s = hot[i];
+            if (s.op == Op::MemRead) {
+                fn(s.b);
+                return;
+            }
+            unsigned arity = rtl::opArity(s.op);
+            if (arity >= 1)
+                fn(s.a);
+            if (arity >= 2)
+                fn(s.b);
+            if (arity >= 3)
+                fn(s.c);
+        },
+        fanoutBegin, fanoutSteps);
+    memReadSteps.assign(dsn.mems().size(), {});
+    for (uint32_t i = 0; i < hot.size(); ++i)
         if (hot[i].op == Op::MemRead)
             memReadSteps[hot[i].a].push_back(i);
-    }
+
+    // The commit units a slot triggers: a unit none of whose trigger
+    // slots changed (nor, for a sync read, its memory) would latch the
+    // value it already holds.
+    buildFanout(
+        numUnits,
+        [&](uint32_t u, auto &&fn) {
+            SlotId en = kNoSlot;
+            if (u < numRegs) {
+                const RegCommit &c = regCommits[u];
+                fn(c.next);
+                fn(c.dst);
+                en = c.en;
+            } else {
+                const SyncReadCommit &c = syncReadCommits[u - numRegs];
+                fn(c.addr);
+                fn(c.data);
+                en = c.en;
+            }
+            if (en != kNoSlot)
+                fn(en);
+        },
+        commitFanoutBegin, commitFanout);
 }
 
 void
@@ -232,13 +275,15 @@ Simulator::reset()
     for (auto &contents : mems)
         memPtrs.push_back(contents.data());
 
-    regPending.assign(regCommits.size(), 0);
-    readPending.assign(syncReadCommits.size(), 0);
-
     dirtyBits.assign((evalPlan.hotProgram.size() + 63) / 64, 0);
     minDirtyWord = static_cast<uint32_t>(dirtyBits.size());
     maxDirtyWord = 0;
     fullSweepPending = true;
+    // The post-reset full sweep writes slots without marking them, so
+    // the first commit after reset must visit every unit.
+    commitDirty.assign((allUnits.size() + 63) / 64, 0);
+    for (uint32_t u : allUnits)
+        markCommitDirty(u);
     std::fill(chunkDirty.begin(), chunkDirty.end(), 0);
 
     cycleCount = 0;
@@ -256,10 +301,19 @@ Simulator::markStepDirty(uint32_t stepIdx)
 }
 
 void
+Simulator::markCommitDirty(uint32_t unit)
+{
+    commitDirty[unit >> 6] |= 1ULL << (unit & 63);
+}
+
+void
 Simulator::markSlotChanged(SlotId slot)
 {
     for (uint32_t i = fanoutBegin[slot]; i < fanoutBegin[slot + 1]; ++i)
         markStepDirty(fanoutSteps[i]);
+    for (uint32_t i = commitFanoutBegin[slot];
+         i < commitFanoutBegin[slot + 1]; ++i)
+        markCommitDirty(commitFanout[i]);
 }
 
 void
@@ -267,6 +321,9 @@ Simulator::markMemChanged(size_t memIdx)
 {
     for (uint32_t stepIdx : memReadSteps[memIdx])
         markStepDirty(stepIdx);
+    for (uint32_t u = memSyncReadBegin[memIdx];
+         u < memSyncReadBegin[memIdx + 1]; ++u)
+        markCommitDirty(u);
 }
 
 void
@@ -505,33 +562,59 @@ Simulator::evalCold()
 void
 Simulator::commitEdge()
 {
-    // CompiledParallel commits through the interpreter path below: the
-    // per-slot updateSlot change detection is what seeds the chunk
-    // dirty bitmap for the next sweep, which the module's monolithic
-    // strober_commit cannot do.
+    const size_t numUnits = allUnits.size();
     if (effective == Backend::Compiled) {
         module->commit()(slots.data(), memPtrs.data());
-        ++cycleCount;
-        combStale = true;
-        coldStale = true;
-        return;
+        commitCount += numUnits;
+    } else if (effective == Backend::InterpretedActivity) {
+        // Drain the candidates before committing: the marks this edge
+        // makes belong to the next one.
+        unitList.clear();
+        for (size_t w = 0; w < commitDirty.size(); ++w) {
+            uint64_t bits = commitDirty[w];
+            commitDirty[w] = 0;
+            while (bits != 0) {
+                unitList.push_back(static_cast<uint32_t>(
+                    (w << 6) | static_cast<unsigned>(__builtin_ctzll(bits))));
+                bits &= bits - 1;
+            }
+        }
+        commitUnits(unitList.data(), unitList.size());
+        commitSkipCount += numUnits - unitList.size();
+    } else {
+        // Every unit. CompiledParallel commits here, not through the
+        // module's strober_commit, because updateSlot's change
+        // detection seeds its chunk dirty bitmap for the next sweep.
+        // It cannot gate the edge: its chunk functions mark chunks,
+        // not slots, so nothing feeds the commit bitmap.
+        commitUnits(allUnits.data(), numUnits);
     }
+    ++cycleCount;
+    combStale = true;
+    coldStale = true;
+}
 
-    for (size_t i = 0; i < regCommits.size(); ++i) {
-        const RegCommit &c = regCommits[i];
+void
+Simulator::commitUnits(const uint32_t *units, size_t n)
+{
+    // Next values first, all read before anything is written. Units
+    // are ascending, so the registers lead and the sync reads follow.
+    const uint32_t numRegs = static_cast<uint32_t>(regCommits.size());
+    size_t firstRead = 0;
+    for (; firstRead < n && units[firstRead] < numRegs; ++firstRead) {
+        const RegCommit &c = regCommits[units[firstRead]];
         bool en = c.en == kNoSlot || (slots[c.en] & 1) != 0;
-        regPending[i] = en ? slots[c.next] : slots[c.dst];
+        unitPending[firstRead] = en ? slots[c.next] : slots[c.dst];
     }
-
     // Sync read ports latch old contents (read-before-write).
-    for (size_t i = 0; i < syncReadCommits.size(); ++i) {
-        const SyncReadCommit &c = syncReadCommits[i];
+    for (size_t k = firstRead; k < n; ++k) {
+        const SyncReadCommit &c = syncReadCommits[units[k] - numRegs];
         bool en = c.en == kNoSlot || (slots[c.en] & 1) != 0;
         if (en) {
             uint64_t addr = slots[c.addr];
-            readPending[i] = addr < c.depth ? mems[c.mem][addr] : 0;
+            unitPending[k] = addr < c.depth ? mems[c.mem][addr] : 0;
         } else {
-            readPending[i] = slots[c.data];
+            unitPending[k] = slots[c.data];
         }
     }
 
@@ -552,14 +635,12 @@ Simulator::commitEdge()
         }
     }
 
-    for (size_t i = 0; i < regCommits.size(); ++i)
-        updateSlot(regCommits[i].dst, regPending[i]);
-    for (size_t i = 0; i < syncReadCommits.size(); ++i)
-        updateSlot(syncReadCommits[i].data, readPending[i]);
-
-    ++cycleCount;
-    combStale = true;
-    coldStale = true;
+    for (size_t k = 0; k < firstRead; ++k)
+        updateSlot(regCommits[units[k]].dst, unitPending[k]);
+    for (size_t k = firstRead; k < n; ++k)
+        updateSlot(syncReadCommits[units[k] - numRegs].data,
+                   unitPending[k]);
+    commitCount += n;
 }
 
 void

@@ -18,16 +18,27 @@
  *      on address collisions).
  *
  * Backends (sim::Backend), observationally equivalent by construction
- * and locked down by tests/test_differential.cc's three-way lockstep:
+ * and locked down by tests/test_differential.cc's four-way lockstep:
  *   - InterpretedFull: the reference interpreter — every hot step is
  *     re-evaluated on every evalComb().
- *   - InterpretedActivity: change-propagation interpretation. A dirty
- *     bitmap over hot-step indices (seeded by poke(), register
- *     commits, sync-memory latches and memory writes) is drained in
- *     one ascending scan; marks made while draining always target
- *     strictly higher step indices (the program is topologically
- *     ordered), so a single pass settles the graph and the evaluation
- *     sequence stays a sub-sequence of the full sweep.
+ *   - InterpretedActivity: change-propagation interpretation, on both
+ *     sides of the clock edge. A dirty bitmap over hot-step indices
+ *     (seeded by poke(), register commits, sync-memory latches and
+ *     memory writes) is drained in one ascending scan; marks made
+ *     while draining always target strictly higher step indices (the
+ *     program is topologically ordered), so a single pass settles the
+ *     graph and the evaluation sequence stays a sub-sequence of the
+ *     full sweep. The commit edge is gated the same way: a second
+ *     bitmap over commit units (registers, then sync-read ports) is
+ *     fed by every slot change through a per-slot CSR — a register is
+ *     a candidate when its next, en or own slot changed, a sync-read
+ *     port when its addr, en or data slot changed or its memory was
+ *     written — and only the drained candidates are re-latched. Every
+ *     other unit would latch the value it already holds. reset() marks
+ *     every unit, so the first commit after it visits them all (the
+ *     post-reset full sweep writes slots without marking them). Memory
+ *     write ports are visited on every edge (last-port-wins on an
+ *     address collision needs all of them, and there are few).
  *   - Compiled: the hot schedule and commit logic lowered to
  *     specialized C++ (src/codegen) as several translation units,
  *     compiled in parallel with the host toolchain, linked into one
@@ -145,6 +156,19 @@ class Simulator
     uint64_t nodeEvalsSkipped() const { return skipCount; }
 
     /**
+     * Register and sync-read-port commits executed at clock edges.
+     * Memory write ports, visited on every edge, are not counted.
+     */
+    uint64_t commitEvals() const { return commitCount; }
+
+    /**
+     * Commits skipped by InterpretedActivity edges because none of the
+     * unit's inputs changed (a full commit would have executed them).
+     * Always 0 in the other backends.
+     */
+    uint64_t commitsSkipped() const { return commitSkipCount; }
+
+    /**
      * Fraction of scheduled step evaluations actually executed,
      * averaged over all sweeps so far: evals / (evals + skipped). 1.0
      * outside InterpretedActivity (and before any sweep has run).
@@ -198,14 +222,20 @@ class Simulator
     std::vector<uint64_t> slots;             //!< flat renumbered values
     std::vector<std::vector<uint64_t>> mems; //!< memory contents
     std::vector<uint64_t *> memPtrs;         //!< per-mem data() (compiled)
+    // Commit units are numbered registers first, then sync-read ports:
+    // unit u < regCommits.size() is regCommits[u], any other is
+    // syncReadCommits[u - regCommits.size()].
     std::vector<RegCommit> regCommits;
     std::vector<SyncReadCommit> syncReadCommits;
     std::vector<MemWriteCommit> memWriteCommits;
-    std::vector<uint64_t> regPending;
-    std::vector<uint64_t> readPending;
+    std::vector<uint32_t> allUnits;       //!< 0 .. units-1 (full commits)
+    std::vector<uint32_t> unitList;       //!< drained candidates (scratch)
+    std::vector<uint64_t> unitPending;    //!< per listed unit (scratch)
     uint64_t cycleCount = 0;
     uint64_t evalCount = 0;
     uint64_t skipCount = 0;
+    uint64_t commitCount = 0;
+    uint64_t commitSkipCount = 0;
     bool combStale = true;
     bool coldStale = true;
 
@@ -217,6 +247,10 @@ class Simulator
     std::vector<uint32_t> fanoutBegin; //!< per slot: CSR into ...
     std::vector<uint32_t> fanoutSteps; //!< ... consumer hot-step indices
     std::vector<std::vector<uint32_t>> memReadSteps; //!< hot async reads
+    std::vector<uint64_t> commitDirty;       //!< bitmap over commit units
+    std::vector<uint32_t> commitFanoutBegin; //!< per slot: CSR into ...
+    std::vector<uint32_t> commitFanout;      //!< ... units it triggers
+    std::vector<uint32_t> memSyncReadBegin;  //!< per mem: CSR of read units
 
     // --- Compiled backend ----------------------------------------------
     std::unique_ptr<codegen::CompiledSim> module;
@@ -231,12 +265,16 @@ class Simulator
     void buildTables();
     void attachCompiledModule();
     void commitEdge();
+    /** One clock edge: latch the @p n listed units (ascending ids)
+     *  and run every write port, reading all inputs before writing. */
+    void commitUnits(const uint32_t *units, size_t n);
     uint64_t evalStep(const rtl::EvalStep &s) const;
     void evalCombFull();
     void evalCombActivity();
     void evalCombParallel();
     void evalCold();
     void markStepDirty(uint32_t stepIdx);
+    void markCommitDirty(uint32_t unit);
     void markSlotChanged(rtl::SlotId slot);
     void markMemChanged(size_t memIdx);
     /** Mark the chunks consuming @p slot dirty (CompiledParallel). */

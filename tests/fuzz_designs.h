@@ -50,8 +50,10 @@ randomDesign(uint64_t seed)
     std::vector<PendingReg> regs;
     unsigned numRegs = 1 + static_cast<unsigned>(rng.nextBounded(3));
     for (unsigned i = 0; i < numRegs; ++i) {
-        Signal r = b.reg("r" + std::to_string(i), width(),
-                         rng.nextBounded(100));
+        // Bound to a local first: GCC 12 at -O3 raises a false
+        // -Wrestrict on "literal" + std::string&&.
+        const std::string idx = std::to_string(i);
+        Signal r = b.reg("r" + idx, width(), rng.nextBounded(100));
         regs.push_back({r, rng.nextBounded(2) == 0});
         pool.push_back(r);
     }

@@ -15,6 +15,10 @@
  *   - reset() mid-run, repeated evalComb(), and partially-driven cycles
  *     (undriven inputs hold their values, creating the low-activity
  *     cycles the optimization exists for);
+ *   - direct state writes between edges (setRegValue, setMemWord,
+ *     setSyncReadData, loadMem, ScanChains restore, reset) on a
+ *     hand-built commit-corner design and on fuzz designs — the inputs
+ *     the activity backend's gated commit edge must not miss;
  *   - end-to-end: full Strober flows on the Rocket and BOOM SoCs, one
  *     per backend, must produce identical run statistics, identical
  *     sampled snapshots and *identical* energy estimates;
@@ -25,11 +29,13 @@
  *     tests/CMakeLists.txt).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,6 +43,7 @@
 #include "core/energy_sim.h"
 #include "cores/soc.h"
 #include "cores/soc_driver.h"
+#include "fame/scan_chain.h"
 #include "rtl/builder.h"
 #include "sim/simulator.h"
 #include "stats/rng.h"
@@ -312,6 +319,284 @@ TEST(Differential, ActivitySkipsStableCones)
     EXPECT_EQ(std::string(sim::backendName(sim.backend())), "activity");
     EXPECT_EQ(std::string(sim::backendName(ref.backend())), "full");
 }
+
+/**
+ * The commit-edge twin of ActivitySkipsStableCones: a bank of 256
+ * registers that load only under an enable held low is idle, so on
+ * InterpretedActivity each idle edge re-latches just the free-running
+ * counter — while every output still matches the full sweep, which
+ * latches every register on every edge.
+ */
+TEST(Differential, ActivitySkipsStableCommits)
+{
+    constexpr unsigned kBank = 256;
+    rtl::Builder b("idle_bank");
+    rtl::Signal in = b.input("in", 16);
+    rtl::Signal load = b.input("load", 1);
+    rtl::Signal fold = b.lit(0, 16);
+    for (unsigned i = 0; i < kBank; ++i) {
+        const std::string idx = std::to_string(i);
+        rtl::Signal r = b.reg("bank" + idx, 16, i);
+        b.next(r, in + b.lit(i, 16), load);
+        fold = fold ^ r;
+    }
+    b.output("fold", fold);
+    rtl::Signal cnt = b.reg("cnt", 8, 0);
+    b.next(cnt, cnt + b.lit(1, 8));
+    b.output("cnt", cnt);
+    Design d = b.finish();
+    const uint64_t units = d.regs().size();
+
+    Simulator act(d, Backend::InterpretedActivity);
+    Simulator full(d, Backend::InterpretedFull);
+    for (Simulator *s : {&act, &full}) {
+        s->poke("in", 5);
+        s->poke("load", 1);
+        s->step(); // the first edge after reset commits every unit
+        s->poke("load", 0);
+        s->step(); // the enable fell: the whole bank is re-latched once
+    }
+    EXPECT_EQ(act.commitEvals(), 2 * units);
+    const uint64_t evalsBefore = act.commitEvals();
+    const uint64_t skippedBefore = act.commitsSkipped();
+
+    constexpr uint64_t kIdle = 100;
+    for (uint64_t c = 0; c < kIdle; ++c) {
+        act.step();
+        full.step();
+        ASSERT_EQ(act.peek("fold"), full.peek("fold")) << "cycle " << c;
+        ASSERT_EQ(act.peek("cnt"), full.peek("cnt")) << "cycle " << c;
+    }
+    // Only the counter changes, so only it is re-latched.
+    EXPECT_EQ(act.commitEvals() - evalsBefore, kIdle);
+    EXPECT_EQ(act.commitsSkipped() - skippedBefore, kIdle * (units - 1));
+    for (size_t r = 0; r < d.regs().size(); ++r)
+        EXPECT_EQ(act.regValue(r), full.regValue(r)) << "reg " << r;
+
+    // The reference commits every unit on every edge and skips none.
+    EXPECT_EQ(full.commitEvals(), (kIdle + 2) * units);
+    EXPECT_EQ(full.commitsSkipped(), 0u);
+}
+
+/**
+ * Hand-built corners of the activity-gated commit edge:
+ *   - two write ports on one memory that often collide on an address
+ *     (the last port must win);
+ *   - a sync-read port whose address and enable are constant, so only
+ *     writes to the memory under it change what it latches;
+ *   - a register with a constant next, a self-holding register, a
+ *     register whose enable toggles while its next is held, and one
+ *     fed straight from a sync-read port.
+ */
+Design
+commitCornerDesign()
+{
+    rtl::Builder b("commit_corners");
+    rtl::Signal wa = b.input("wa", 4);
+    rtl::Signal wb = b.input("wb", 4);
+    rtl::Signal collide = b.input("collide", 1);
+    rtl::Signal wd0 = b.input("wd0", 8);
+    rtl::Signal wd1 = b.input("wd1", 8);
+    rtl::Signal we0 = b.input("we0", 1);
+    rtl::Signal we1 = b.input("we1", 1);
+    rtl::Signal ra = b.input("ra", 4);
+    rtl::Signal ren = b.input("ren", 1);
+    rtl::Signal en = b.input("en", 1);
+    rtl::Signal x = b.input("x", 8);
+
+    rtl::MemHandle m = b.mem("m", 8, 16, true);
+    b.memWrite(m, wa, wd0, we0);
+    b.memWrite(m, b.mux(collide, wa, wb), wd1, we1);
+    rtl::Signal rd = b.memReadSync(m, ra, ren);
+    rtl::Signal fixed = b.memReadSync(m, b.lit(3, 4), b.lit(1, 1));
+
+    rtl::Signal konst = b.reg("konst", 8, 0);
+    b.next(konst, b.lit(42, 8));
+    rtl::Signal hold = b.reg("hold", 8, 7);
+    b.next(hold, hold);
+    rtl::Signal gated = b.reg("gated", 8, 0);
+    b.next(gated, x, en);
+    rtl::Signal shadow = b.reg("shadow", 8, 0);
+    b.next(shadow, fixed);
+    rtl::Signal cnt = b.reg("cnt", 4, 0);
+    b.next(cnt, cnt + b.lit(1, 4));
+
+    b.output("rd", rd);
+    b.output("fixed", fixed);
+    b.output("konst", konst);
+    b.output("hold", hold);
+    b.output("gated", gated);
+    b.output("shadow", shadow);
+    b.output("mix", (rd ^ shadow) + (konst ^ hold) + b.pad(cnt, 8));
+    return b.finish();
+}
+
+/**
+ * Four-way lockstep with direct state writes between edges: at random
+ * cycles setRegValue, setMemWord, setSyncReadData, loadMem, a
+ * ScanChains restore of an earlier capture, or reset() hit all four
+ * backends alike — sometimes before, sometimes after the outputs were
+ * observed. After every edge the outputs, every register and every
+ * sync-read latch must agree. This is what the commit gating can get
+ * wrong: a write that bypasses the comb sweep must still make the
+ * units it feeds commit candidates.
+ */
+void
+stateWriteLockstep(const Design &d, uint64_t seed, int cycles)
+{
+    Simulator full(d, Backend::InterpretedFull);
+    Simulator act(d, Backend::InterpretedActivity);
+    Simulator comp(d, Backend::Compiled);
+    Simulator par(d, Backend::CompiledParallel);
+    Simulator *sims[] = {&full, &act, &comp, &par};
+    fame::ScanChains chains(d);
+    fame::StateSnapshot saved = chains.capture(full, 0);
+    stats::Rng rng(seed * 104729 + 7);
+
+    std::vector<std::pair<size_t, size_t>> syncPorts;
+    for (size_t mi = 0; mi < d.mems().size(); ++mi)
+        if (d.mems()[mi].syncRead)
+            for (size_t p = 0; p < d.mems()[mi].reads.size(); ++p)
+                syncPorts.emplace_back(mi, p);
+
+    auto perturb = [&]() {
+        switch (rng.nextBounded(12)) {
+          case 0: {
+            size_t r = rng.nextBounded(d.regs().size());
+            uint64_t v = rng.next();
+            for (Simulator *s : sims)
+                s->setRegValue(r, v);
+            break;
+          }
+          case 1: {
+            if (d.mems().empty())
+                break;
+            size_t mi = rng.nextBounded(d.mems().size());
+            // Bias towards address 3, the fixed read address above.
+            uint64_t a = rng.nextBounded(2) == 0
+                             ? std::min<uint64_t>(3, d.mems()[mi].depth - 1)
+                             : rng.nextBounded(d.mems()[mi].depth);
+            uint64_t v = rng.next();
+            for (Simulator *s : sims)
+                s->setMemWord(mi, a, v);
+            break;
+          }
+          case 2: {
+            if (syncPorts.empty())
+                break;
+            auto [mi, p] = syncPorts[rng.nextBounded(syncPorts.size())];
+            uint64_t v = rng.next();
+            for (Simulator *s : sims)
+                s->setSyncReadData(mi, p, v);
+            break;
+          }
+          case 3: {
+            if (d.mems().empty())
+                break;
+            size_t mi = rng.nextBounded(d.mems().size());
+            uint64_t depth = d.mems()[mi].depth;
+            uint64_t base = rng.nextBounded(depth);
+            std::vector<uint64_t> words(
+                1 + rng.nextBounded(depth - base));
+            for (uint64_t &w : words)
+                w = rng.next();
+            for (Simulator *s : sims)
+                s->loadMem(mi, base, words);
+            break;
+          }
+          case 4:
+            for (Simulator *s : sims)
+                chains.restore(*s, saved);
+            break;
+          case 5:
+            saved = chains.capture(full, full.cycle());
+            break;
+          case 6:
+            if (rng.nextBounded(8) == 0)
+                for (Simulator *s : sims)
+                    s->reset();
+            break;
+          default:
+            break; // most cycles leave the state alone
+        }
+    };
+
+    const char *names[] = {"full", "activity", "compiled",
+                           "compiled-parallel"};
+    for (int cycle = 0; cycle < cycles; ++cycle) {
+        for (rtl::NodeId in : d.inputs()) {
+            // A quarter of the pokes are withheld, and "x" is driven
+            // only one cycle in sixteen: registers then see a held next
+            // value under a toggling enable.
+            bool rare = d.node(in).name == "x";
+            if (rare ? rng.nextBounded(16) != 0 : rng.nextBounded(4) == 0)
+                continue;
+            uint64_t v = rng.next();
+            for (Simulator *s : sims)
+                s->poke(in, v);
+        }
+        perturb();
+        for (const rtl::OutputPort &out : d.outputs()) {
+            uint64_t refv = full.peek(out.node);
+            for (size_t i = 1; i < 4; ++i)
+                ASSERT_EQ(sims[i]->peek(out.node), refv)
+                    << names[i] << " seed " << seed << " cycle " << cycle
+                    << " output " << out.name;
+        }
+        perturb(); // after the sweep: the comb values are now stale
+        for (Simulator *s : sims)
+            s->step();
+        for (size_t i = 1; i < 4; ++i) {
+            for (const rtl::OutputPort &out : d.outputs())
+                ASSERT_EQ(sims[i]->peek(out.node), full.peek(out.node))
+                    << names[i] << " seed " << seed << " after edge "
+                    << cycle << " output " << out.name;
+            for (size_t r = 0; r < d.regs().size(); ++r)
+                ASSERT_EQ(sims[i]->regValue(r), full.regValue(r))
+                    << names[i] << " seed " << seed << " after edge "
+                    << cycle << " reg " << r;
+            for (auto [mi, p] : syncPorts)
+                ASSERT_EQ(sims[i]->syncReadData(mi, p),
+                          full.syncReadData(mi, p))
+                    << names[i] << " seed " << seed << " after edge "
+                    << cycle << " mem " << mi << " port " << p;
+        }
+        if (cycle % 101 == 0) {
+            for (size_t i = 1; i < 4; ++i) {
+                ASSERT_NO_FATAL_FAILURE(
+                    expectStateEqual(d, full, *sims[i], seed, cycle));
+            }
+        }
+    }
+    for (size_t i = 1; i < 4; ++i) {
+        ASSERT_NO_FATAL_FAILURE(
+            expectStateEqual(d, full, *sims[i], seed, cycles));
+    }
+}
+
+TEST(Differential, CommitCornersUnderStateWrites)
+{
+    Design d = commitCornerDesign();
+    ASSERT_EQ(d.mems().size(), 1u);
+    ASSERT_EQ(d.mems()[0].writes.size(), 2u);
+    ASSERT_EQ(d.mems()[0].reads.size(), 2u);
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SCOPED_TRACE(seed);
+        ASSERT_NO_FATAL_FAILURE(stateWriteLockstep(d, seed, 1500));
+    }
+}
+
+class StateWrites : public ::testing::TestWithParam<uint64_t> {};
+
+/** The same lockstep over fuzz designs (tests/fuzz_designs.h). */
+TEST_P(StateWrites, RandomDesignLockstep)
+{
+    const uint64_t seed = GetParam();
+    stateWriteLockstep(randomDesign(seed), seed, 600);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StateWrites,
+                         ::testing::Range<uint64_t>(1, 11));
 
 /** Shared body: run the full Strober flow once per backend on one SoC
  *  and require bit-identical estimates. */
