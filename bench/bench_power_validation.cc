@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "bench_common.h"
 #include "core/harness.h"
@@ -42,20 +43,14 @@ main()
     for (const workloads::Workload &wl : workloads::microbenchmarks()) {
         // Ground truth: full gate-level run of the entire benchmark.
         cores::SocDriver truthDriver(soc, wl.program);
-        core::GateHarness gateHarness(strober.synthesis().netlist);
-        gateHarness.simulator().clearActivity();
-        core::runLoop(gateHarness, truthDriver, wl.maxCycles);
+        // value(): a zero-cycle truth run is a bench bug and panics.
+        core::GroundTruth truth = std::move(
+            core::measureGroundTruth(strober, truthDriver, wl.maxCycles)
+                .value());
         if (!truthDriver.done())
             fatal("%s did not finish at gate level", wl.name.c_str());
-        gate::ActivityReport truthAct{
-            gateHarness.simulator().toggleCounts(),
-            gateHarness.simulator().macroStats(),
-            gateHarness.simulator().activityCycles()};
-        power::PowerReport truth = power::analyzePower(
-            strober.synthesis().netlist, strober.placement(), truthAct,
-            cfg.clockHz);
-        double trueWatts = truth.totalWatts();
-        uint64_t cycles = gateHarness.cycles();
+        double trueWatts = truth.power.totalWatts();
+        uint64_t cycles = truth.cycles;
 
         uint64_t replayed = 30ull * cfg.replayLength;
         std::printf("%-10s %12llu %9llu %9.2f%% |", wl.name.c_str(),
@@ -102,16 +97,9 @@ main()
                   "samplings)");
     workloads::Workload tw = workloads::towers();
     cores::SocDriver truthDriver(soc, tw.program);
-    core::GateHarness truthHarness(strober.synthesis().netlist);
-    truthHarness.simulator().clearActivity();
-    core::runLoop(truthHarness, truthDriver, tw.maxCycles);
-    gate::ActivityReport act{truthHarness.simulator().toggleCounts(),
-                             truthHarness.simulator().macroStats(),
-                             truthHarness.simulator().activityCycles()};
     double trueWatts =
-        power::analyzePower(strober.synthesis().netlist,
-                            strober.placement(), act, cfg.clockHz)
-            .totalWatts();
+        core::measureGroundTruth(strober, truthDriver, tw.maxCycles)
+            ->power.totalWatts();
 
     int cover99 = 0, cover999 = 0;
     const int reps = 30;

@@ -283,22 +283,30 @@ EnergySimulator::estimateStreaming(HostDriver &driver, uint64_t maxCycles,
     return report;
 }
 
-power::PowerReport
+util::Result<GroundTruth>
 measureGroundTruth(EnergySimulator &sim, HostDriver &driver,
-                   uint64_t maxCycles)
+                   uint64_t maxCycles, bool trackDuty)
 {
     const gate::SynthesisResult &synth = sim.synthesis();
     GateHarness harness(synth.netlist);
+    if (trackDuty)
+        harness.simulator().enableDutyTracking();
     harness.simulator().clearActivity();
     runLoop(harness, driver, maxCycles);
-    if (harness.cycles() == 0)
-        fatal("ground-truth run executed zero cycles");
-    gate::ActivityReport activity{
+    if (harness.cycles() == 0) {
+        return util::errorf(util::ErrorCode::InvalidArgument,
+                            "ground-truth run executed zero cycles");
+    }
+    GroundTruth truth;
+    truth.activity = gate::ActivityReport{
         harness.simulator().toggleCounts(),
         harness.simulator().macroStats(),
         harness.simulator().activityCycles()};
-    return power::analyzePower(synth.netlist, sim.placement(), activity,
-                               sim.config().clockHz);
+    truth.power = power::analyzePower(synth.netlist, sim.placement(),
+                                      truth.activity, sim.config().clockHz);
+    truth.highCycles = harness.simulator().highCycles();
+    truth.cycles = harness.cycles();
+    return truth;
 }
 
 } // namespace core

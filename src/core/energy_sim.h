@@ -332,13 +332,28 @@ class EnergySimulator
     bool markShortRun(EnergyReport &report) const;
 };
 
+/** What a ground-truth run measured. */
+struct GroundTruth
+{
+    power::PowerReport power;      //!< exact average power
+    gate::ActivityReport activity; //!< whole-run switching activity
+    /** Cycles each net spent at 1 (SAIF T1); empty unless duty
+     *  tracking was requested. */
+    std::vector<uint64_t> highCycles;
+    uint64_t cycles = 0; //!< gate-level cycles executed
+};
+
 /**
  * Ground truth (Figure 8 validation): run the whole workload at gate
- * level and return the exact average-power report. Slow by construction.
+ * level and return the exact average-power report, plus the activity it
+ * came from (and, with @p trackDuty, each net's high-cycle count for a
+ * duty-tracked SAIF export). Slow by construction. A run that executes
+ * no cycle is an InvalidArgument error.
  */
-power::PowerReport measureGroundTruth(EnergySimulator &sim,
-                                      HostDriver &driver,
-                                      uint64_t maxCycles);
+util::Result<GroundTruth> measureGroundTruth(EnergySimulator &sim,
+                                             HostDriver &driver,
+                                             uint64_t maxCycles,
+                                             bool trackDuty = false);
 
 } // namespace core
 } // namespace strober

@@ -13,8 +13,6 @@
 namespace strober {
 namespace core {
 
-namespace {
-
 SnapshotStatus
 classifyReplayError(util::ErrorCode code)
 {
@@ -29,6 +27,8 @@ classifyReplayError(util::ErrorCode code)
         return SnapshotStatus::ReplayError;
     }
 }
+
+namespace {
 
 /** Fill @p out's power numbers from a verified replay's report. */
 void

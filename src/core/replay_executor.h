@@ -73,6 +73,10 @@ struct ReplayContext
     uint64_t cycleBudget = 0; //!< resolved watchdog budget (never 0)
 };
 
+/** Quarantine status of a failed replay or snapshot load, from its
+ *  error code. */
+SnapshotStatus classifyReplayError(util::ErrorCode code);
+
 /**
  * Watchdog budget for one replay: the configured value, or a generous
  * multiple of warm-up + L derived from the netlist's retiming depth so

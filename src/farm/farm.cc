@@ -1,11 +1,14 @@
 #include "farm/farm.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "core/job_control.h"
 #include "gate/netlist.h"
+#include "gate/replay.h"
 #include "inject/fault_injector.h"
 #include "power/power_analysis.h"
 #include "util/env.h"
@@ -18,6 +21,7 @@ namespace fs = std::filesystem;
 using core::EnergyReport;
 using core::ReplayRecord;
 using core::ReplayUnit;
+using core::SnapshotOutcome;
 using core::SnapshotStatus;
 using util::ErrorCode;
 using util::errorf;
@@ -28,17 +32,16 @@ namespace {
 
 constexpr const char *kManifestSuffix = ".strbfarm";
 
-/** Same mapping gate-replay failures get inside replaySnapshot. */
-SnapshotStatus
-classifySnapshotFileError(ErrorCode code)
+/** Mark @p entry Done for a verified @p rec, else Quarantined with its
+ *  failure recorded. */
+void
+settle(ManifestEntry &entry, const ReplayRecord &rec)
 {
-    switch (code) {
-      case ErrorCode::Corrupt:
-      case ErrorCode::GeometryMismatch:
-      case ErrorCode::LoadFailure:
-        return SnapshotStatus::LoadFailed;
-      default:
-        return SnapshotStatus::ReplayError;
+    if (rec.outcome.replayed()) {
+        entry.state = EntryState::Done;
+    } else {
+        entry.state = EntryState::Quarantined;
+        recordFailure(entry, rec);
     }
 }
 
@@ -144,8 +147,6 @@ FarmOrchestrator::FarmOrchestrator(const rtl::Design &targetDesign,
       store(cfg.effectiveCacheDir()), fame(fame::fame1Transform(target)),
       chainMeta(fame.design), asic(target)
 {
-    if (cfg.shards == 0)
-        fatal("FarmConfig.shards must be at least 1");
 }
 
 std::string
@@ -186,6 +187,9 @@ FarmOrchestrator::plan(
     const std::vector<const fame::ReplayableSnapshot *> &snapshots,
     uint64_t population)
 {
+    if (cfg.shards == 0)
+        return errorf(ErrorCode::InvalidArgument,
+                      "FarmConfig.shards must be at least 1");
     std::error_code ec;
     fs::create_directories(cfg.dir, ec);
     if (ec) {
@@ -280,48 +284,86 @@ FarmOrchestrator::plan(
     return Status::ok();
 }
 
-ReplayRecord
-FarmOrchestrator::replayEntry(gate::GateSimulator &gsim,
-                              const ShardManifest &m,
-                              const ManifestEntry &entry,
-                              const core::EnergySimulator::Config &baseCfg,
-                              uint64_t budget)
+FarmOrchestrator::FileUnit
+FarmOrchestrator::unitOf(const ManifestEntry &entry) const
 {
-    (void)m;
-    Result<fame::ReplayableSnapshot> snap = fame::readSnapshotFile(
-        (fs::path(cfg.dir) / entry.snapshotFile).string(), chainMeta);
-    if (!snap.isOk()) {
-        // A bad snapshot *file* is a capture/storage fault of this
-        // sample: quarantine it (exactly what estimate() does for a
-        // corrupt in-memory snapshot), never abort the run.
-        ReplayRecord rec;
-        rec.outcome.index = entry.index;
-        rec.outcome.cycle = entry.cycle;
-        rec.outcome.status = classifySnapshotFileError(snap.status().code());
-        rec.outcome.attempts = 1;
-        rec.outcome.detail = snap.status().toString();
-        return rec;
+    return FileUnit{static_cast<size_t>(entry.index), entry.cycle,
+                    (fs::path(cfg.dir) / entry.snapshotFile).string(),
+                    entry.injectedStallCycles, entry.key};
+}
+
+std::vector<ReplayRecord>
+FarmOrchestrator::replayAndPublish(std::vector<FileUnit> &units,
+                                   const core::EnergySimulator::Config &applied,
+                                   const std::function<bool(size_t)> &keep)
+{
+    std::vector<FileUnit> kept;
+    std::vector<Result<fame::ReplayableSnapshot>> snaps;
+    for (size_t k = 0; k < units.size(); ++k) {
+        Result<fame::ReplayableSnapshot> snap =
+            fame::readSnapshotFile(units[k].path, chainMeta);
+        if (keep && !keep(k))
+            continue;
+        kept.push_back(std::move(units[k]));
+        snaps.push_back(std::move(snap));
     }
-    core::EnergySimulator::Config local = baseCfg;
+    units = std::move(kept);
+
+    std::vector<ReplayRecord> out(units.size());
+    std::vector<ReplayUnit> batch;
+    std::vector<size_t> batchAt;
     inject::StallPlan stalls;
-    if (entry.injectedStallCycles) {
-        stalls.stallSnapshot(entry.index, entry.injectedStallCycles);
-        local.stallPlan = &stalls;
-    } else {
-        local.stallPlan = nullptr;
+    for (size_t k = 0; k < units.size(); ++k) {
+        if (!snaps[k].isOk()) {
+            // A bad snapshot *file* is a capture/storage fault of this
+            // sample: quarantine it (exactly what estimate() does for a
+            // corrupt in-memory snapshot), never abort the run.
+            SnapshotOutcome &oc = out[k].outcome;
+            oc.index = units[k].index;
+            oc.cycle = units[k].cycle;
+            oc.status = core::classifyReplayError(snaps[k].status().code());
+            oc.attempts = 1;
+            oc.detail = snaps[k].status().toString();
+            continue;
+        }
+        if (units[k].stallCycles)
+            stalls.stallSnapshot(units[k].index, units[k].stallCycles);
+        batch.push_back(ReplayUnit{units[k].index, &*snaps[k]});
+        batchAt.push_back(k);
     }
+    if (batch.empty())
+        return out;
+
+    core::EnergySimulator::Config local = applied;
+    local.stallPlan = stalls.empty() ? nullptr : &stalls;
     const core::AsicProducts &p = asic.products();
-    core::ReplayContext ctx{target,    p.synth, p.placement, p.match,
-                            chainMeta, local,   budget};
-    ReplayUnit unit{static_cast<size_t>(entry.index), &*snap};
-    ++executed;
-    return core::replaySnapshot(gsim, ctx, unit);
+    core::ReplayContext ctx{target,    p.synth, p.placement,
+                            p.match,   chainMeta, local,
+                            core::resolveReplayBudget(local, p.synth)};
+    if (!tables)
+        tables = std::make_unique<core::ReplayTables>(ctx);
+    executed += batch.size();
+    std::vector<ReplayRecord> recs =
+        core::replaySnapshots(ctx, *tables, gsim, batch);
+    for (size_t m = 0; m < batch.size(); ++m) {
+        size_t k = batchAt[m];
+        out[k] = std::move(recs[m]);
+        if (!out[k].outcome.replayed())
+            continue;
+        // An unpublished result costs the collector one inline replay,
+        // never a wrong number.
+        Status ss = store.store(units[k].key, out[k]);
+        if (!ss.isOk()) {
+            warn("cannot publish result for snapshot %zu: %s",
+                 units[k].index, ss.toString().c_str());
+        }
+    }
+    return out;
 }
 
 Status
 FarmOrchestrator::workShard(unsigned shard)
 {
-    const gate::SynthesisResult &synth = asic.products().synth;
     Result<ShardManifest> mr =
         readManifestFile(manifestPath(shard), /*reclaimLeases=*/true);
     if (!mr.isOk())
@@ -338,23 +380,36 @@ FarmOrchestrator::workShard(unsigned shard)
 
     core::EnergySimulator::Config applied = cfg.sim;
     m.applyTo(applied);
-    uint64_t budget = core::resolveReplayBudget(applied, synth);
-    gate::GateSimulator gsim(synth.netlist);
-
     core::JobControl *job = cfg.sim.job;
+    auto canceled = [job] { return job != nullptr && job->canceled(); };
 
-    // Drain our own shard: lease → cache-or-replay → publish → done.
-    // One atomic manifest write per state change; a SIGKILL leaves at
-    // most one entry Leased, which the next reader reclaims (on resume,
-    // or by lease expiry while the run is still live).
+    // Drain our own shard: lease entries one manifest write each,
+    // gather up to a pass of cache misses, replay them as one batch and
+    // record their outcomes in one more manifest write. A SIGKILL
+    // leaves at most one batch Leased, which the next reader reclaims
+    // (on resume, or by lease expiry while the run is still live).
+    std::vector<ManifestEntry *> held; // leased cache misses
+    auto finishHeld = [&] {
+        std::vector<FileUnit> units;
+        for (const ManifestEntry *e : held)
+            units.push_back(unitOf(*e));
+        std::vector<ReplayRecord> recs = replayAndPublish(units, applied);
+        for (size_t k = 0; k < held.size(); ++k)
+            settle(*held[k], recs[k]);
+        held.clear();
+        return writeManifestFile(manifestPath(shard), m);
+    };
+    bool drained = false;
     for (ManifestEntry &e : m.entries) {
         if (e.state == EntryState::Done ||
             e.state == EntryState::Quarantined)
             continue;
         // Graceful drain: stop before taking new work. Everything not
         // yet leased stays Pending; the queue on disk already says so.
-        if (job != nullptr && job->canceled())
-            return Status::ok();
+        if (canceled()) {
+            drained = true;
+            break;
+        }
         e.state = EntryState::Leased;
         e.leaseDeadlineUnixMs = util::nowUnixMs() + cfg.leaseDurationMs;
         Status st = writeManifestFile(manifestPath(shard), m);
@@ -363,42 +418,31 @@ FarmOrchestrator::workShard(unsigned shard)
 
         if (cfg.entryHook)
             cfg.entryHook(shard, e);
-        if (job != nullptr && job->canceled()) {
+        if (canceled()) {
             // Drain arrived after the lease was persisted: checkpoint
             // by reverting it to Pending — never a quarantine, so the
-            // resumed run replays it and reports bit-identically.
+            // resumed run replays it and reports bit-identically. The
+            // leases already held finish their batch below.
             e.state = EntryState::Pending;
             e.leaseDeadlineUnixMs = 0;
-            return writeManifestFile(manifestPath(shard), m);
+            drained = true;
+            break;
         }
-
         if (store.lookup(e.key)) {
             e.state = EntryState::Done; // stolen or previous-run result
-        } else {
-            ReplayRecord rec = replayEntry(gsim, m, e, applied, budget);
-            if (rec.outcome.replayed()) {
-                Status ss = store.store(e.key, rec);
-                if (ss.isOk()) {
-                    e.state = EntryState::Done;
-                } else {
-                    // Unpublishable result: leave the entry pending so
-                    // the collector replays it inline rather than
-                    // trusting a result nobody can read back.
-                    warn("shard %u: cannot publish result for snapshot "
-                         "%llu: %s",
-                         shard, (unsigned long long)e.index,
-                         ss.toString().c_str());
-                    e.state = EntryState::Pending;
-                }
-            } else {
-                e.state = EntryState::Quarantined;
-                recordFailure(e, rec);
-            }
+            continue;
         }
-        st = writeManifestFile(manifestPath(shard), m);
-        if (!st.isOk())
-            return st;
+        held.push_back(&e);
+        if (held.size() == gate::kReplayLanes) {
+            st = finishHeld();
+            if (!st.isOk())
+                return st;
+        }
     }
+    // Also persists the Done marks of cache hits and a reverted lease.
+    Status st = finishHeld();
+    if (!st.isOk() || drained)
+        return st;
 
     // Work stealing: replay other shards' pending entries — plus
     // entries whose lease has expired on the wall clock (their worker
@@ -409,10 +453,14 @@ FarmOrchestrator::workShard(unsigned shard)
     // there is nothing to race on. Note the expiry demotion here is
     // in-memory only: if the leaseholder is merely slow and finishes
     // anyway, both workers store the same content-addressed bytes.
+    // Thieves take from the back of the list and owners lease from the
+    // front, so a stolen batch rarely duplicates the owner's. A stolen
+    // failure is not recorded: the owner replays the entry itself and
+    // records the same deterministic quarantine.
     for (uint32_t other = 0; other < m.shards; ++other) {
         if (other == shard)
             continue;
-        if (job != nullptr && job->canceled())
+        if (canceled())
             return Status::ok();
         Result<ShardManifest> omr =
             readManifestFile(manifestPath(other), /*reclaimLeases=*/false);
@@ -421,26 +469,22 @@ FarmOrchestrator::workShard(unsigned shard)
         if (!checkCompatible(*omr).isOk())
             continue;
         reclaimLeases(*omr, util::nowUnixMs());
-        for (const ManifestEntry &e : omr->entries) {
-            if (e.state != EntryState::Pending)
+        std::vector<FileUnit> batch;
+        for (auto e = omr->entries.rbegin(); e != omr->entries.rend(); ++e) {
+            if (e->state != EntryState::Pending || store.lookup(e->key))
                 continue;
-            if (job != nullptr && job->canceled())
-                return Status::ok();
-            if (store.lookup(e.key))
-                continue;
-            ReplayRecord rec = replayEntry(gsim, *omr, e, applied, budget);
-            if (rec.outcome.replayed()) {
-                Status ss = store.store(e.key, rec);
-                if (!ss.isOk()) {
-                    warn("work steal: cannot publish result for snapshot "
-                         "%llu: %s",
-                         (unsigned long long)e.index,
-                         ss.toString().c_str());
-                }
+            batch.push_back(unitOf(*e));
+            if (batch.size() == gate::kReplayLanes) {
+                if (canceled())
+                    return Status::ok();
+                replayAndPublish(batch, applied);
+                batch.clear();
             }
-            // Failures are not recorded anywhere: the owner will replay
-            // the entry itself and reach the same (deterministic)
-            // quarantine verdict with the authority to record it.
+        }
+        if (!batch.empty()) {
+            if (canceled())
+                return Status::ok();
+            replayAndPublish(batch, applied);
         }
     }
     return Status::ok();
@@ -478,7 +522,6 @@ FarmOrchestrator::loadAllManifests(bool reclaimLeases) const
 Result<EnergyReport>
 FarmOrchestrator::collect()
 {
-    const gate::SynthesisResult &synth = asic.products().synth;
     Result<std::vector<ShardManifest>> all =
         loadAllManifests(/*reclaimLeases=*/true);
     if (!all.isOk())
@@ -492,15 +535,16 @@ FarmOrchestrator::collect()
     const ShardManifest &head = (*all)[0];
     core::EnergySimulator::Config applied = cfg.sim;
     head.applyTo(applied);
-    uint64_t budget = core::resolveReplayBudget(applied, synth);
 
     size_t total = head.sampleCount;
     std::vector<ReplayRecord> records(total);
     std::vector<bool> filled(total, false);
-    std::unique_ptr<gate::GateSimulator> gsim; // only if something is left
-
+    bool changed = false; // an entry state the manifests do not have yet
+    // Unfinished entries, and Done entries whose cache file was lost or
+    // corrupted: replayed inline below. One recompute, never a wrong
+    // number.
+    std::vector<ManifestEntry *> misses;
     for (ShardManifest &m : *all) {
-        bool dirty = false;
         for (ManifestEntry &e : m.entries) {
             if (e.index >= total || filled[e.index]) {
                 return errorf(ErrorCode::Corrupt,
@@ -508,65 +552,20 @@ FarmOrchestrator::collect()
                               "or duplicated",
                               (unsigned long long)e.index);
             }
-            ReplayRecord rec;
-            if (e.state == EntryState::Quarantined) {
-                rec = failureRecord(e);
-            } else {
-                std::optional<ReplayRecord> hit = store.lookup(e.key);
-                if (hit) {
-                    rec = std::move(*hit);
-                    rec.outcome.index = e.index;
-                } else {
-                    // Unfinished entry, or a Done entry whose cache file
-                    // was lost/corrupted: replay inline. One recompute,
-                    // never a wrong number.
-                    if (cfg.sim.job != nullptr && cfg.sim.job->canceled()) {
-                        // Drain mid-collect: persist the Done markings
-                        // observed so far, then checkpoint. The next
-                        // collect() resumes from the cache and produces
-                        // the bit-identical report.
-                        if (dirty)
-                            writeManifestFile(manifestPath(m.shard), m);
-                        return errorf(ErrorCode::Canceled,
-                                      "collect drained before snapshot "
-                                      "%llu; run is checkpointed",
-                                      (unsigned long long)e.index);
-                    }
-                    if (!gsim) {
-                        gsim = std::make_unique<gate::GateSimulator>(
-                            synth.netlist);
-                    }
-                    rec = replayEntry(*gsim, m, e, applied, budget);
-                    if (rec.outcome.replayed()) {
-                        Status ss = store.store(e.key, rec);
-                        if (!ss.isOk()) {
-                            warn("collect: cannot publish result for "
-                                 "snapshot %llu: %s",
-                                 (unsigned long long)e.index,
-                                 ss.toString().c_str());
-                        }
-                    } else {
-                        e.state = EntryState::Quarantined;
-                        recordFailure(e, rec);
-                        dirty = true;
-                    }
-                }
-                if (rec.outcome.replayed() &&
-                    e.state != EntryState::Done) {
-                    e.state = EntryState::Done;
-                    dirty = true;
-                }
-            }
-            records[e.index] = std::move(rec);
             filled[e.index] = true;
-        }
-        if (dirty) {
-            Status st = writeManifestFile(manifestPath(m.shard), m);
-            if (!st.isOk()) {
-                warn("collect: cannot update manifest '%s': %s",
-                     manifestPath(m.shard).c_str(),
-                     st.toString().c_str());
+            if (e.state == EntryState::Quarantined) {
+                records[e.index] = failureRecord(e);
+                continue;
             }
+            std::optional<ReplayRecord> hit = store.lookup(e.key);
+            if (!hit) {
+                misses.push_back(&e);
+                continue;
+            }
+            hit->outcome.index = e.index;
+            records[e.index] = std::move(*hit);
+            changed = changed || e.state != EntryState::Done;
+            e.state = EntryState::Done;
         }
     }
     for (size_t i = 0; i < total; ++i) {
@@ -578,9 +577,41 @@ FarmOrchestrator::collect()
         }
     }
 
-    EnergyReport report = core::aggregateReplayRecords(
-        std::move(records), head.population, applied);
-    return report;
+    auto persist = [&] {
+        for (size_t k = 0; changed && k < all->size(); ++k) {
+            Status st = writeManifestFile(manifestPath(k), (*all)[k]);
+            if (!st.isOk()) {
+                warn("collect: cannot update manifest '%s': %s",
+                     manifestPath(k).c_str(), st.toString().c_str());
+            }
+        }
+    };
+    for (size_t b = 0; b < misses.size(); b += gate::kReplayLanes) {
+        if (cfg.sim.job != nullptr && cfg.sim.job->canceled()) {
+            // Drain mid-collect: persist the Done markings observed so
+            // far, then checkpoint. The next collect() resumes from the
+            // cache and produces the bit-identical report.
+            persist();
+            return errorf(ErrorCode::Canceled,
+                          "collect drained before snapshot %llu; run is "
+                          "checkpointed",
+                          (unsigned long long)misses[b]->index);
+        }
+        size_t end = std::min<size_t>(b + gate::kReplayLanes, misses.size());
+        std::vector<FileUnit> units;
+        for (size_t k = b; k < end; ++k)
+            units.push_back(unitOf(*misses[k]));
+        std::vector<ReplayRecord> recs = replayAndPublish(units, applied);
+        for (size_t k = b; k < end; ++k) {
+            settle(*misses[k], recs[k - b]);
+            records[misses[k]->index] = std::move(recs[k - b]);
+        }
+        changed = true;
+    }
+    persist();
+
+    return core::aggregateReplayRecords(std::move(records), head.population,
+                                        applied);
 }
 
 Result<FarmOrchestrator::Progress>

@@ -93,7 +93,8 @@ struct FarmConfig
     /** Wall-clock lease duration: a Leased entry whose deadline passes
      *  is presumed held by a dead or wedged worker, and peers reclaim
      *  it (steal phase) without waiting for the process to exit. Must
-     *  comfortably exceed one replay's wall time. */
+     *  comfortably exceed the wall time of one batch of leases (up
+     *  to gate::kReplayLanes replays in one pass). */
     uint64_t leaseDurationMs = 10 * 60 * 1000;
     /** Test hook: called right after an entry is leased, before its
      *  replay. Fault-injection tests raise signals here to probe the
@@ -129,40 +130,48 @@ class FarmOrchestrator
      * resuming a killed run redoes only unfinished work. Quarantined
      * entries are deliberately reset to Pending: failures always
      * recompute (mirroring the cache's only-successes policy), so a
-     * transient fault never pins a stale quarantine.
+     * transient fault never pins a stale quarantine. Fails with
+     * InvalidArgument when cfg.shards is 0.
      */
     util::Status plan(const std::vector<const fame::ReplayableSnapshot *>
                           &snapshots,
                       uint64_t population);
 
     /**
-     * Worker loop for shard @p shard: lease each pending entry, serve
-     * it from the cache or replay it, publish the result, mark the
-     * entry done (or quarantined) — one atomic manifest write per state
-     * change. After draining its own shard the worker steals other
-     * shards' pending entries — plus entries whose lease deadline has
-     * expired (a wedged peer) — publishing results to the cache only
-     * (never writing a foreign manifest); owners and the collector
-     * observe the hits. Fails if the manifest was planned against a
-     * different design/config/power model.
+     * Worker loop for shard @p shard: lease pending entries (one atomic
+     * manifest write and one cfg.entryHook call each), mark cache hits
+     * done, and replay the leased misses in batches of up to
+     * gate::kReplayLanes, publishing each batch's results and writing
+     * its Done/Quarantined states in one more manifest write. After
+     * draining its own shard the worker steals other shards' pending
+     * entries — plus entries whose lease deadline has expired (a
+     * wedged peer) — in batches from the back of their lists,
+     * publishing results to the cache only (never writing a foreign
+     * manifest); owners and the collector observe the hits. Fails if
+     * the manifest was planned against a different design/config/power
+     * model.
      *
-     * Honors cfg.sim.job: a cancel (drain) checkpoints — the in-flight
-     * lease reverts to Pending and the call returns ok with the rest
-     * of the queue untouched, so a later run resumes bit-identically.
-     * A passed deadline turns remaining replays into deterministic
-     * TimedOut quarantines (the job terminates with a degraded report).
+     * Honors cfg.sim.job: a cancel (drain) checkpoints — a lease taken
+     * as the cancel arrives reverts to Pending, the leases already held
+     * finish their batch and are recorded, and the call returns ok with
+     * the rest of the queue untouched, so a later run resumes
+     * bit-identically. A passed deadline turns remaining replays into
+     * deterministic TimedOut quarantines (the job terminates with a
+     * degraded report).
      */
     util::Status workShard(unsigned shard);
 
     /**
-     * Assemble the final report from the manifests and the cache,
-     * replaying any entries that are still unfinished (or whose cache
-     * entry was lost or corrupted) inline. Must run after the workers
-     * have exited. The report is bit-identical to a plain in-process
-     * estimate() of the same sample — for any shard count, worker
-     * count, kill/resume history or cache state. A cancel via
-     * cfg.sim.job checkpoints and returns ErrorCode::Canceled instead
-     * of a report.
+     * Assemble the final report from the manifests and the cache.
+     * Entries that are still unfinished (or whose cache entry was lost
+     * or corrupted) are replayed inline, gate::kReplayLanes per pass.
+     * Must run after the workers have exited. The report is
+     * bit-identical to a plain in-process estimate() of the same
+     * sample — for any shard count, worker count, kill/resume history
+     * or cache state. A cancel via cfg.sim.job, seen before a pass,
+     * persists the states observed so far and returns
+     * ErrorCode::Canceled instead of a report. A fully warm collect
+     * never lowers the netlist.
      */
     util::Result<core::EnergyReport> collect();
 
@@ -182,12 +191,14 @@ class FarmOrchestrator
      * Worker side: drain the stream feed, replaying every
      * non-tombstoned entry whose result is not already cached and
      * publishing to the cache ONLY (the work-stealing discipline — no
-     * manifest exists yet). Entries are processed own-partition first
-     * (seq % @p slots == @p slot), then the rest. Returns when the
-     * done marker exists and everything is processed, when the marker
-     * says the run stopped early, or on job cancel. Polls every
-     * @p pollMs; gives up with DeadlineExceeded if the meta file does
-     * not appear within @p metaWaitMs.
+     * manifest exists yet). Entries are taken own-partition first
+     * (seq % @p slots == @p slot), then the rest, and replayed in
+     * batches of up to gate::kReplayLanes; tombstones are checked
+     * again after a batch's files are loaded, just before it replays.
+     * Returns when the done marker exists and everything is processed,
+     * when the marker says the run stopped early, or on job cancel.
+     * Polls every @p pollMs; gives up with DeadlineExceeded if the meta
+     * file does not appear within @p metaWaitMs.
      */
     util::Result<StreamDrainOutcome> drainStream(unsigned slot,
                                                  unsigned slots,
@@ -217,7 +228,8 @@ class FarmOrchestrator
     };
     util::Result<Progress> progress() const;
 
-    /** Gate-level replays this process performed (own + stolen). */
+    /** Gate-level replays this process performed (own, stolen,
+     *  streamed and collected). */
     uint64_t replaysExecuted() const { return executed; }
 
     ResultCache &cache() { return store; }
@@ -235,16 +247,41 @@ class FarmOrchestrator
     core::AsicFlow asic;
 
     uint64_t executed = 0;
+    /** Built on the first replay, so a fully warm run never lowers the
+     *  netlist; gsim is core::replaySnapshots()' lone-lane fallback. */
+    std::unique_ptr<core::ReplayTables> tables;
+    std::unique_ptr<gate::GateSimulator> gsim;
+
+    /** One snapshot file to replay. */
+    struct FileUnit
+    {
+        size_t index = 0;   //!< sample index: stall-plan key, outcome.index
+        uint64_t cycle = 0; //!< capture cycle (for a load-failure record)
+        std::string path;
+        uint64_t stallCycles = 0; //!< injected stall of this snapshot
+        CacheKey key;             //!< where its verified record goes
+    };
 
     std::string manifestPath(uint32_t shard) const;
     util::Result<std::vector<ShardManifest>>
     loadAllManifests(bool reclaimLeases) const;
     util::Status checkCompatible(const ShardManifest &m);
-    core::ReplayRecord replayEntry(gate::GateSimulator &gsim,
-                                   const ShardManifest &m,
-                                   const ManifestEntry &entry,
-                                   const core::EnergySimulator::Config &cfg,
-                                   uint64_t budget);
+    FileUnit unitOf(const ManifestEntry &entry) const;
+
+    /**
+     * The records of @p units (at most gate::kReplayLanes), in order:
+     * each file is loaded, an unreadable one becomes its load-failure
+     * quarantine record, and the rest replay in one
+     * core::replaySnapshots() call under @p applied. Verified records
+     * are published to the cache; a failed store only warns. If @p keep
+     * is set it is asked, after loading, about each unit by its
+     * position in @p units; the units it rejects are erased from
+     * @p units and not replayed.
+     */
+    std::vector<core::ReplayRecord>
+    replayAndPublish(std::vector<FileUnit> &units,
+                     const core::EnergySimulator::Config &applied,
+                     const std::function<bool(size_t)> &keep = nullptr);
 };
 
 /** Copy a failed replay's outcome into a manifest entry's fail fields. */

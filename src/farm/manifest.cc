@@ -1,15 +1,11 @@
 #include "farm/manifest.h"
 
-#include <filesystem>
-#include <fstream>
-
 #include "farm/wire.h"
-#include "util/logging.h"
+#include "util/file_io.h"
 
 namespace strober {
 namespace farm {
 
-namespace fs = std::filesystem;
 using util::ErrorCode;
 using util::errorf;
 using util::Result;
@@ -145,46 +141,18 @@ writeManifestFile(const std::string &path, const ShardManifest &m)
         w.str(e.failDetail);
     }
 
-    // Atomic write-to-temp-then-rename, like snapshot v2: a killed run
-    // leaves either the previous manifest or the new one, never a torn
-    // file.
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return errorf(ErrorCode::IoError, "cannot create '%s'",
-                          tmp.c_str());
-        std::string bytes = w.sealed();
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.close();
-        if (!out) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return errorf(ErrorCode::IoError,
-                          "writing '%s' failed (disk full?)", tmp.c_str());
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        return errorf(ErrorCode::IoError, "renaming '%s' -> '%s': %s",
-                      tmp.c_str(), path.c_str(), ec.message().c_str());
-    }
-    return Status::ok();
+    // A killed run leaves either the previous manifest or the new one,
+    // never a torn file.
+    return util::writeFileAtomic(path, w.sealed());
 }
 
 Result<ShardManifest>
 readManifestFile(const std::string &path, bool reclaimLeases)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return errorf(ErrorCode::IoError, "cannot open '%s'", path.c_str());
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    wire::Reader r(std::move(bytes));
+    Result<std::string> bytes = util::readFile(path);
+    if (!bytes.isOk())
+        return bytes.status();
+    wire::Reader r(std::move(*bytes));
 
     if (r.u64() != kManifestMagic || r.failed()) {
         return errorf(ErrorCode::Corrupt,

@@ -1,18 +1,15 @@
 #include "farm/result_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <vector>
 
-#include <unistd.h>
-
 #include "farm/wire.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 
 namespace strober {
@@ -49,53 +46,6 @@ foldKeyMaterial(uint64_t basis, const fame::SnapshotDigest &digest,
     fold(powerVersion);
     fold(stalls);
     return h;
-}
-
-std::string
-readWholeFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::string();
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    return bytes;
-}
-
-Status
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    // Unique temp per writer so concurrent farm workers storing the
-    // same content-addressed entry never clobber each other mid-write;
-    // the final rename is atomic and last-writer-wins over identical
-    // bytes.
-    static std::atomic<uint64_t> serial{0};
-    std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                      std::to_string(serial.fetch_add(1));
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            return errorf(ErrorCode::IoError, "cannot create '%s'",
-                          tmp.c_str());
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.close();
-        if (!out) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return errorf(ErrorCode::IoError,
-                          "writing '%s' failed (disk full?)", tmp.c_str());
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        return errorf(ErrorCode::IoError, "renaming '%s' -> '%s': %s",
-                      tmp.c_str(), path.c_str(), ec.message().c_str());
-    }
-    return Status::ok();
 }
 
 } // namespace
@@ -166,8 +116,9 @@ ResultCache::ResultCache(std::string dir) : root(std::move(dir))
     std::error_code ec;
     fs::create_directories(root, ec);
     if (ec) {
-        fatal("cannot create result-cache directory '%s': %s",
-              root.c_str(), ec.message().c_str());
+        openError = errorf(ErrorCode::IoError,
+                           "cannot create result-cache directory '%s': %s",
+                           root.c_str(), ec.message().c_str());
     }
 }
 
@@ -181,13 +132,12 @@ std::optional<core::ReplayRecord>
 ResultCache::lookup(const CacheKey &key)
 {
     std::string path = entryPath(key);
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
+    util::Result<std::string> bytes = util::readFile(path);
+    if (!bytes.isOk()) { // absent (or an unusable store)
         ++counters.misses;
         return std::nullopt;
     }
-    std::string bytes = readWholeFile(path);
-    wire::Reader r(std::move(bytes));
+    wire::Reader r(std::move(*bytes));
 
     core::ReplayRecord rec;
     bool ok = true;
@@ -220,6 +170,7 @@ ResultCache::lookup(const CacheKey &key)
         ++counters.misses;
         warn("result cache entry %s is corrupt; treating as a miss",
              key.hex().c_str());
+        std::error_code ec;
         fs::remove(path, ec);
         return std::nullopt;
     }
@@ -231,6 +182,8 @@ ResultCache::lookup(const CacheKey &key)
 util::Status
 ResultCache::store(const CacheKey &key, const core::ReplayRecord &rec)
 {
+    if (!openError.isOk())
+        return openError;
     if (rec.outcome.status != core::SnapshotStatus::Replayed) {
         return errorf(ErrorCode::InvalidArgument,
                       "only verified replay results are cacheable; "
@@ -253,7 +206,7 @@ ResultCache::store(const CacheKey &key, const core::ReplayRecord &rec)
         w.str(name);
         w.f64(watts);
     }
-    Status st = writeFileAtomic(entryPath(key), w.sealed());
+    Status st = util::writeFileAtomic(entryPath(key), w.sealed());
     if (st.isOk())
         ++counters.stores;
     return st;

@@ -74,7 +74,12 @@ CacheKey makeCacheKey(const fame::SnapshotDigest &digest,
 class ResultCache
 {
   public:
-    /** Opens (and creates if needed) the store at @p dir. */
+    /**
+     * Opens (and creates if needed) the store at @p dir. If the
+     * directory cannot be created the cache is unusable but harmless:
+     * every lookup() misses and every store() returns that error, so
+     * callers run uncached.
+     */
     explicit ResultCache(std::string dir);
 
     const std::string &directory() const { return root; }
@@ -90,6 +95,7 @@ class ResultCache
     /**
      * Store a record under @p key (atomic write). Only Replayed
      * outcomes are accepted; anything else fails with InvalidArgument.
+     * An unusable store fails with IoError.
      */
     util::Status store(const CacheKey &key, const core::ReplayRecord &rec);
 
@@ -147,6 +153,7 @@ class ResultCache
 
   private:
     std::string root;
+    util::Status openError; //!< why the directory is unusable
     struct
     {
         std::atomic<uint64_t> hits{0}, misses{0}, corruptEntries{0},

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <set>
 #include <thread>
@@ -13,10 +12,12 @@
 #include "farm/manifest.h"
 #include "farm/wire.h"
 #include "gate/netlist.h"
+#include "gate/replay.h"
 #include "inject/fault_injector.h"
 #include "power/power_analysis.h"
 #include "stats/sampling.h"
 #include "util/env.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 
 namespace strober {
@@ -24,7 +25,6 @@ namespace farm {
 
 namespace fs = std::filesystem;
 using core::ReplayRecord;
-using core::ReplayUnit;
 using util::ErrorCode;
 using util::errorf;
 using util::Result;
@@ -45,56 +45,10 @@ tombName(uint64_t slot, uint64_t generation)
                   (unsigned long long)generation);
 }
 
-/** Atomic temp + rename write, same discipline as the manifests. */
-Status
-writeFileAtomic(const std::string &path, const std::string &bytes)
-{
-    std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-        if (!out) {
-            return errorf(ErrorCode::IoError, "cannot open '%s' for write",
-                          tmp.c_str());
-        }
-        out.write(bytes.data(),
-                  static_cast<std::streamsize>(bytes.size()));
-        out.flush();
-        if (!out) {
-            std::error_code ec;
-            fs::remove(tmp, ec);
-            return errorf(ErrorCode::IoError,
-                          "writing '%s' failed (disk full?)", tmp.c_str());
-        }
-    }
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    if (ec) {
-        std::error_code ec2;
-        fs::remove(tmp, ec2);
-        return errorf(ErrorCode::IoError, "cannot rename '%s' -> '%s': %s",
-                      tmp.c_str(), path.c_str(), ec.message().c_str());
-    }
-    return Status::ok();
-}
-
-Result<std::string>
-readFileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return errorf(ErrorCode::IoError, "cannot open '%s'", path.c_str());
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (in.bad())
-        return errorf(ErrorCode::IoError, "read of '%s' failed",
-                      path.c_str());
-    return bytes;
-}
-
 Result<StreamFeed::LiveEntry>
 parseEntryFile(const std::string &path)
 {
-    Result<std::string> bytes = readFileBytes(path);
+    Result<std::string> bytes = util::readFile(path);
     if (!bytes.isOk())
         return bytes.status();
     wire::Reader r(std::move(*bytes));
@@ -140,7 +94,7 @@ writePlanMarker(const std::string &runDir)
 {
     wire::Writer w;
     w.u64(kEntryVersion);
-    return writeFileAtomic(
+    return util::writeFileAtomic(
         (fs::path(streamDir(runDir)) / kPlanName).string(), w.sealed());
 }
 
@@ -207,7 +161,7 @@ StreamFeed::onSnapshotReady(size_t slot, uint64_t generation,
         w.u64(e.stallCycles);
         w.str(e.snapshotFile);
         w.str(e.key.hex());
-        ws = writeFileAtomic(
+        ws = util::writeFileAtomic(
             (fs::path(dir) / strfmt("entry_%06llu%s",
                                     (unsigned long long)e.seq,
                                     kEntrySuffix))
@@ -234,7 +188,7 @@ StreamFeed::onSlotEvicted(size_t slot, uint64_t generation)
     auto it = live.find(slot);
     if (it == live.end() || it->second.generation != generation)
         return; // the evicted capture never made it into the feed
-    Status ts = writeFileAtomic(
+    Status ts = util::writeFileAtomic(
         (fs::path(dir) / tombName(slot, generation)).string(),
         std::string());
     if (!ts.isOk())
@@ -253,8 +207,8 @@ StreamFeed::finish(bool earlyStop)
     wire::Writer w;
     w.u64(kEntryVersion);
     w.u64(earlyStop ? 1 : 0);
-    return writeFileAtomic((fs::path(dir) / kDoneName).string(),
-                           w.sealed());
+    return util::writeFileAtomic((fs::path(dir) / kDoneName).string(),
+                                 w.sealed());
 }
 
 size_t
@@ -354,17 +308,17 @@ Result<StreamDrainOutcome>
 FarmOrchestrator::drainStream(unsigned slot, unsigned slots,
                               uint64_t pollMs, uint64_t metaWaitMs)
 {
-    const core::AsicProducts &asicp = asic.products();
     if (slots == 0)
         slots = 1;
     std::string sdir = streamDir(cfg.dir);
     std::string metaPath = (fs::path(sdir) / kMetaName).string();
     core::JobControl *job = cfg.sim.job;
+    auto canceled = [job] { return job != nullptr && job->canceled(); };
     StreamDrainOutcome out;
 
     uint64_t metaDeadline = util::nowUnixMs() + metaWaitMs;
     while (!fs::exists(metaPath)) {
-        if (job != nullptr && job->canceled()) {
+        if (canceled()) {
             out.canceled = true;
             return out;
         }
@@ -386,8 +340,6 @@ FarmOrchestrator::drainStream(unsigned slot, unsigned slots,
 
     core::EnergySimulator::Config applied = cfg.sim;
     meta->applyTo(applied);
-    uint64_t budget = core::resolveReplayBudget(applied, asicp.synth);
-    std::unique_ptr<gate::GateSimulator> gsim;
 
     std::set<std::string> seen;
     std::vector<StreamFeed::LiveEntry> pending;
@@ -397,9 +349,33 @@ FarmOrchestrator::drainStream(unsigned slot, unsigned slots,
         return fs::exists(fs::path(sdir) /
                           tombName(e.slot, e.generation));
     };
+    // Live entries that missed the cache, replayed one pass at a time.
+    // Failures are not recorded: the plan phase replays the entry with
+    // full authority and reaches the same deterministic verdict.
+    std::vector<const StreamFeed::LiveEntry *> batch;
+    auto replayBatch = [&] {
+        std::vector<FileUnit> units;
+        for (const StreamFeed::LiveEntry *e : batch) {
+            units.push_back(FileUnit{
+                static_cast<size_t>(e->slot), e->cycle,
+                (fs::path(sdir) / e->snapshotFile).string(),
+                e->stallCycles, e->key});
+        }
+        // Last-instant supersede check: a tombstone written while the
+        // batch loaded saves its replay entirely.
+        uint64_t before = executed;
+        replayAndPublish(units, applied, [&](size_t k) {
+            return !tombstoned(*batch[k]);
+        });
+        // An unreadable snapshot file counts as neither: it is left to
+        // the plan phase, which owns quarantines.
+        out.replayed += executed - before;
+        out.tombstoned += batch.size() - units.size();
+        batch.clear();
+    };
 
     for (;;) {
-        if (job != nullptr && job->canceled()) {
+        if (canceled()) {
             out.canceled = true;
             return out;
         }
@@ -407,7 +383,7 @@ FarmOrchestrator::drainStream(unsigned slot, unsigned slots,
         // written are still processed below (the producer wrote them
         // before the marker; directory iteration just found them late).
         if (!out.sawDoneMarker && fs::exists(donePath)) {
-            Result<std::string> bytes = readFileBytes(donePath);
+            Result<std::string> bytes = util::readFile(donePath);
             if (bytes.isOk()) {
                 wire::Reader r(std::move(*bytes));
                 uint64_t version = r.u64();
@@ -457,8 +433,8 @@ FarmOrchestrator::drainStream(unsigned slot, unsigned slots,
                                  return aOwn;
                              return a.seq < b.seq;
                          });
-        for (StreamFeed::LiveEntry &e : pending) {
-            if (job != nullptr && job->canceled()) {
+        for (const StreamFeed::LiveEntry &e : pending) {
+            if (canceled()) {
                 out.canceled = true;
                 return out;
             }
@@ -470,50 +446,12 @@ FarmOrchestrator::drainStream(unsigned slot, unsigned slots,
                 ++out.cacheHits;
                 continue;
             }
-            Result<fame::ReplayableSnapshot> snap = fame::readSnapshotFile(
-                (fs::path(sdir) / e.snapshotFile).string(), chainMeta);
-            if (!snap.isOk()) {
-                // Torn or vanished (superseded and GC'd) snapshot file:
-                // leave it to the plan phase, which owns quarantines.
-                continue;
-            }
-            // Last-instant supersede check: a tombstone written while
-            // we loaded the snapshot saves this replay entirely.
-            if (tombstoned(e)) {
-                ++out.tombstoned;
-                continue;
-            }
-            core::EnergySimulator::Config local = applied;
-            inject::StallPlan stalls;
-            if (e.stallCycles) {
-                stalls.stallSnapshot(e.slot, e.stallCycles);
-                local.stallPlan = &stalls;
-            } else {
-                local.stallPlan = nullptr;
-            }
-            core::ReplayContext ctx{target,    asicp.synth, asicp.placement,
-                                    asicp.match, chainMeta, local,
-                                    budget};
-            if (!gsim)
-                gsim = std::make_unique<gate::GateSimulator>(
-                    asicp.synth.netlist);
-            ReplayUnit unit{static_cast<size_t>(e.slot), &*snap};
-            ++executed;
-            ReplayRecord rec = core::replaySnapshot(*gsim, ctx, unit);
-            ++out.replayed;
-            if (rec.outcome.replayed()) {
-                Status ss = store.store(e.key, rec);
-                if (!ss.isOk()) {
-                    warn("stream drain: cannot publish result for slot "
-                         "%llu: %s",
-                         (unsigned long long)e.slot,
-                         ss.toString().c_str());
-                }
-            }
-            // Failures are not recorded: the plan phase replays the
-            // entry with full authority and reaches the same
-            // deterministic quarantine verdict.
+            batch.push_back(&e);
+            if (batch.size() == gate::kReplayLanes)
+                replayBatch();
         }
+        if (!batch.empty())
+            replayBatch();
         pending.clear();
 
         if (out.sawDoneMarker && newEntries == 0)

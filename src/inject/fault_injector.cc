@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
+#include "util/file_io.h"
 #include "util/logging.h"
 
 namespace strober {
@@ -127,30 +126,11 @@ corruptBytes(std::string bytes, FileFault kind, uint64_t seed)
 util::Status
 corruptFile(const std::string &path, FileFault kind, uint64_t seed)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return util::errorf(ErrorCode::IoError, "cannot open '%s'",
-                            path.c_str());
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    in.close();
-
-    std::string corrupted = corruptBytes(buf.str(), kind, seed);
-
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        return util::errorf(ErrorCode::IoError, "cannot rewrite '%s'",
-                            path.c_str());
-    }
-    out.write(corrupted.data(),
-              static_cast<std::streamsize>(corrupted.size()));
-    out.flush();
-    if (!out) {
-        return util::errorf(ErrorCode::IoError, "rewriting '%s' failed",
-                            path.c_str());
-    }
-    return util::Status::ok();
+    util::Result<std::string> bytes = util::readFile(path);
+    if (!bytes.isOk())
+        return bytes.status();
+    return util::writeFileAtomic(path,
+                                 corruptBytes(std::move(*bytes), kind, seed));
 }
 
 util::Result<std::string>

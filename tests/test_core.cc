@@ -160,7 +160,10 @@ TEST(EnergySimulator, EstimateTracksGroundTruth)
     EnergyReport report = es.estimate();
 
     NoiseDriver truthDriver(7, cycles);
-    power::PowerReport truth = measureGroundTruth(es, truthDriver, cycles);
+    util::Result<GroundTruth> measured =
+        measureGroundTruth(es, truthDriver, cycles);
+    ASSERT_TRUE(measured.isOk()) << measured.status().toString();
+    const power::PowerReport &truth = measured->power;
 
     double actualError = std::abs(report.averagePower.mean -
                                   truth.totalWatts()) /
@@ -170,6 +173,16 @@ TEST(EnergySimulator, EstimateTracksGroundTruth)
     EXPECT_LT(actualError, 0.05)
         << "estimate " << report.averagePower.mean << " truth "
         << truth.totalWatts();
+}
+
+TEST(EnergySimulator, ZeroCycleGroundTruthIsAnErrorNotAnExit)
+{
+    Design d = makeDut();
+    EnergySimulator es(d, EnergySimulator::Config{});
+    NoiseDriver idle(7, 0); // done before the first cycle
+    util::Result<GroundTruth> truth = measureGroundTruth(es, idle, 1000);
+    ASSERT_FALSE(truth.isOk());
+    EXPECT_EQ(truth.status().code(), util::ErrorCode::InvalidArgument);
 }
 
 TEST(EnergySimulator, ResetSamplingAllowsSecondWorkload)

@@ -16,6 +16,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -1001,6 +1003,133 @@ TEST_F(FarmTest, ConfigDriftDiscardsStaleResultsOnReplan)
     EXPECT_EQ(progress->pending, progress->total);
 }
 
+TEST_F(FarmTest, BatchedFarmMatchesInProcessAcrossPassesAndShards)
+{
+    // Up to 40 snapshots: two full lockstep passes and a partial
+    // third, with a divergence and a watchdog timeout among them.
+    Design d = makeDut();
+    EnergySimulator::Config cfg = standardConfig();
+    cfg.sampleSize = 40;
+    inject::StallPlan stalls;
+    stalls.stallSnapshot(7, 1'000'000); // over any budget: TimedOut
+    cfg.stallPlan = &stalls;
+    Standard s = runStandard(d, cfg);
+    auto snaps = s.es->sampler().mutableSnapshots();
+    const size_t n = snaps.size();
+    ASSERT_GT(n, 2 * size_t(gate::kReplayLanes));
+    ASSERT_NE(n % gate::kReplayLanes, 0u);
+    inject::perturbOutputToken(*snaps[21], faultSeed());
+
+    EnergyReport inProcess = s.es->estimate();
+    ASSERT_EQ(inProcess.droppedSnapshots, 2u);
+    EXPECT_EQ(inProcess.outcomes[7].status, SnapshotStatus::TimedOut);
+    EXPECT_EQ(inProcess.outcomes[21].status, SnapshotStatus::Diverged);
+
+    // The same sample with snapshot 30's file torn on disk after
+    // planning: one more quarantine, the same at any shard count.
+    const size_t torn = 30;
+    std::optional<EnergyReport> tornRef;
+    for (unsigned shards : {1u, 3u}) {
+        for (bool tear : {false, true}) {
+            // One path for every run: the torn file's detail names it.
+            std::string run = sub("run");
+            fs::remove_all(run);
+            FarmOrchestrator orch(d, farmConfig(run, shards, cfg));
+            ASSERT_TRUE(
+                orch.plan(s.es->sampler().snapshots(), s.population)
+                    .isOk());
+            if (tear) {
+                ASSERT_TRUE(inject::corruptFile(run + "/snap_00030.strb",
+                                                inject::FileFault::Truncate,
+                                                faultSeed())
+                                .isOk());
+            }
+            for (unsigned k = 0; k < shards; ++k)
+                ASSERT_TRUE(orch.workShard(k).isOk());
+            auto rep = orch.collect();
+            ASSERT_TRUE(rep.isOk()) << rep.status().toString();
+            if (!tear) {
+                expectReportsBitIdentical(inProcess, *rep);
+                // One replay per cache miss. Only a failure (never
+                // cached) is replayed twice: by a thief, then by its
+                // owner, which records the quarantine.
+                EXPECT_EQ(orch.replaysExecuted(),
+                          orch.cache().stats().misses);
+                if (shards == 1) {
+                    EXPECT_EQ(orch.replaysExecuted(), n);
+                }
+                continue;
+            }
+            EXPECT_EQ(rep->droppedSnapshots, 3u);
+            ASSERT_EQ(rep->outcomes.size(), n);
+            for (size_t i = 0; i < n; ++i) {
+                const SnapshotOutcome &got = rep->outcomes[i];
+                const SnapshotOutcome &want = inProcess.outcomes[i];
+                EXPECT_EQ(got.index, want.index);
+                EXPECT_EQ(got.cycle, want.cycle);
+                if (i == torn) {
+                    EXPECT_EQ(got.status, SnapshotStatus::LoadFailed);
+                    EXPECT_EQ(got.attempts, 1u);
+                    continue;
+                }
+                EXPECT_EQ(got.status, want.status) << "snapshot " << i;
+                EXPECT_EQ(got.attempts, want.attempts);
+                EXPECT_EQ(got.detail, want.detail);
+            }
+            if (tornRef)
+                expectReportsBitIdentical(*tornRef, *rep);
+            else
+                tornRef = *rep;
+        }
+    }
+}
+
+TEST_F(FarmTest, UnusableCacheDirectoryRunsUncachedWithoutExiting)
+{
+    Design d = makeDut();
+    EnergySimulator::Config cfg = standardConfig();
+    Standard ref = runStandard(d, cfg);
+    EnergyReport uncached = ref.es->estimate();
+
+    // A cache directory under a regular file can never be created.
+    std::string file = sub("not_a_dir");
+    { std::ofstream(file) << "x"; }
+    std::string badCache = file + "/cache";
+
+    CachingReplayExecutor exec(badCache);
+    EXPECT_EQ(exec.cache().store(CacheKey{}, ReplayRecord{}).code(),
+              util::ErrorCode::IoError);
+    EnergySimulator::Config ccfg = cfg;
+    ccfg.replayExecutor = &exec;
+    Standard s = runStandard(d, ccfg);
+    EnergyReport viaExec = s.es->estimate();
+    expectReportsBitIdentical(uncached, viaExec);
+    EXPECT_EQ(viaExec.cacheHits, 0u);
+    EXPECT_EQ(exec.cache().entryCount(), 0u);
+
+    FarmConfig fcfg = farmConfig(sub("run"), 2, cfg);
+    fcfg.cacheDir = badCache;
+    FarmOrchestrator orch(d, fcfg);
+    ASSERT_TRUE(
+        orch.plan(ref.es->sampler().snapshots(), ref.population).isOk());
+    ASSERT_TRUE(orch.workShard(0).isOk());
+    ASSERT_TRUE(orch.workShard(1).isOk());
+    auto rep = orch.collect();
+    ASSERT_TRUE(rep.isOk()) << rep.status().toString();
+    expectReportsBitIdentical(uncached, *rep);
+}
+
+TEST_F(FarmTest, ZeroShardsIsRefusedByPlan)
+{
+    Design d = makeDut();
+    EnergySimulator::Config cfg = standardConfig();
+    Standard s = runStandard(d, cfg);
+    FarmOrchestrator orch(d, farmConfig(sub("run"), 0, cfg));
+    util::Status st = orch.plan(s.es->sampler().snapshots(), s.population);
+    ASSERT_FALSE(st.isOk());
+    EXPECT_EQ(st.code(), util::ErrorCode::InvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // Streamed farm runs (farm/stream.h)
 // ---------------------------------------------------------------------------
@@ -1162,6 +1291,44 @@ TEST_F(FarmTest, CollectStreamEarlyAggregatesCompletedLiveSubset)
     EXPECT_EQ(early->averagePower.halfWidth,
               inProcess.averagePower.halfWidth);
     EXPECT_EQ(early->population, inProcess.population);
+}
+
+TEST_F(FarmTest, StreamedDrainReplaysManyLiveEntriesOnceInBatches)
+{
+    // 40 live entries: the drain replays them more than one pass at a
+    // time, and skips every superseded capture.
+    Design d = makeDut();
+    EnergySimulator::Config cfg = standardConfig();
+    cfg.sampleSize = 40;
+
+    FarmOrchestrator producer(d, farmConfig(sub("run"), 1, cfg));
+    auto feed = producer.openStreamFeed();
+    ASSERT_TRUE(feed.isOk()) << feed.status().toString();
+    Standard s = runStandardStreamed(d, cfg, **feed);
+    ASSERT_TRUE((*feed)->finish(false).isOk());
+    size_t survivors = s.es->sampler().snapshots().size();
+    ASSERT_GT(survivors, 2 * size_t(gate::kReplayLanes));
+    ASSERT_GT((*feed)->superseded(), 0u);
+
+    FarmOrchestrator worker(d, farmConfig(sub("run"), 1, cfg));
+    auto out = worker.drainStream(0, 1, /*pollMs=*/1);
+    ASSERT_TRUE(out.isOk()) << out.status().toString();
+    EXPECT_EQ(out->replayed, survivors);
+    EXPECT_EQ(out->tombstoned, (*feed)->superseded());
+    EXPECT_EQ(worker.replaysExecuted(), survivors);
+    EXPECT_EQ(worker.cache().stats().misses, survivors);
+    EXPECT_EQ(worker.cache().entryCount(), survivors);
+
+    // Every survivor's record is the in-process one: the phased flow
+    // finds all of them cached and reports bit-identically.
+    ASSERT_TRUE(
+        producer.plan(s.es->sampler().snapshots(), s.population).isOk());
+    ASSERT_TRUE(producer.workShard(0).isOk());
+    auto rep = producer.collect();
+    ASSERT_TRUE(rep.isOk()) << rep.status().toString();
+    EXPECT_EQ(producer.replaysExecuted(), 0u);
+    Standard ref = runStandard(d, cfg);
+    expectReportsBitIdentical(ref.es->estimate(), *rep);
 }
 
 } // namespace

@@ -111,8 +111,10 @@ TEST(Integration, EstimateMatchesGroundTruthOnRocket)
     ASSERT_EQ(rep.replayMismatches, 0u);
 
     cores::SocDriver truthDriver(soc, wl.program);
-    power::PowerReport truth =
+    util::Result<core::GroundTruth> measured =
         core::measureGroundTruth(strober, truthDriver, wl.maxCycles);
+    ASSERT_TRUE(measured.isOk()) << measured.status().toString();
+    const power::PowerReport &truth = measured->power;
 
     double err = std::abs(rep.averagePower.mean - truth.totalWatts()) /
                  truth.totalWatts();

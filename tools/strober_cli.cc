@@ -56,7 +56,6 @@
 #include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -72,6 +71,7 @@
 #include "gate/verilog.h"
 #include "isa/assembler.h"
 #include "isa/iss.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 #include "workloads/workloads.h"
 
@@ -271,13 +271,10 @@ cmdRun(const std::string &coreName, const std::string &wlName,
     if (!streamed)
         rep = strober.estimate();
     if (!opts.reportFile.empty()) {
-        std::ofstream rout(opts.reportFile, std::ios::binary);
-        if (!rout)
-            fatal("cannot create '%s'", opts.reportFile.c_str());
-        rout << farm::renderReportDeterministic(rep);
-        rout.close();
-        if (!rout)
-            fatal("writing '%s' failed", opts.reportFile.c_str());
+        util::Status ws = util::writeFileAtomic(
+            opts.reportFile, farm::renderReportDeterministic(rep));
+        if (!ws.isOk())
+            fatal("%s", ws.toString().c_str());
     }
     std::printf("average power: %.3f mW +/- %.3f (99%% CI, %zu "
                 "snapshots, %zu dropped, %llu replay mismatches)\n",
@@ -345,15 +342,6 @@ cmdTruth(const std::string &coreName, const std::string &wlName,
     core::EnergySimulator::Config cfg;
     core::EnergySimulator strober(soc, cfg);
 
-    // Inline equivalent of core::measureGroundTruth(), opened up so the
-    // harness can enable duty tracking (T0/T1 in the SAIF output) and
-    // accept either driver kind.
-    const gate::SynthesisResult &synth = strober.synthesis();
-    core::GateHarness harness(synth.netlist);
-    if (!saifFile.empty())
-        harness.simulator().enableDutyTracking();
-    harness.simulator().clearActivity();
-
     std::unique_ptr<cores::SocDriver> socDriver;
     std::unique_ptr<trace::TraceDriver> traceDriver;
     core::HostDriver *driver = nullptr;
@@ -382,41 +370,37 @@ cmdTruth(const std::string &coreName, const std::string &wlName,
     }
     std::printf("running %s to completion at gate level (slow; this is "
                 "the point)...\n", runName.c_str());
-    core::runLoop(harness, *driver, maxCycles);
+    // Duty tracking gives the SAIF output its T0/T1 fields.
+    util::Result<core::GroundTruth> truth = core::measureGroundTruth(
+        strober, *driver, maxCycles, /*trackDuty=*/!saifFile.empty());
     if (traceDriver && !traceDriver->status().isOk()) {
         std::fprintf(stderr, "stimulus: %s\n",
                      traceDriver->status().toString().c_str());
         return 4;
     }
-    if (harness.cycles() == 0)
-        fatal("ground-truth run executed zero cycles");
-
-    gate::ActivityReport activity{harness.simulator().toggleCounts(),
-                                  harness.simulator().macroStats(),
-                                  harness.simulator().activityCycles()};
-    power::PowerReport truth = power::analyzePower(
-        synth.netlist, strober.placement(), activity, cfg.clockHz);
+    if (!truth.isOk()) {
+        std::fprintf(stderr, "truth: %s\n",
+                     truth.status().toString().c_str());
+        return 3;
+    }
     std::printf("exact average power over %llu cycles: %.3f mW\n",
-                (unsigned long long)truth.cycles,
-                truth.totalWatts() * 1e3);
-    std::printf("%s", truth.table().c_str());
+                (unsigned long long)truth->power.cycles,
+                truth->power.totalWatts() * 1e3);
+    std::printf("%s", truth->power.table().c_str());
 
     if (!saifFile.empty()) {
         gate::SaifOptions opt;
         opt.designName = coreName;
         opt.clockHz = cfg.clockHz;
-        opt.highCycles = &harness.simulator().highCycles();
-        std::ofstream out(saifFile, std::ios::binary);
-        if (!out)
-            fatal("cannot create '%s'", saifFile.c_str());
-        out << gate::writeSaif(synth.netlist, activity, opt);
-        out.close();
-        if (!out)
-            fatal("writing '%s' failed", saifFile.c_str());
+        opt.highCycles = &truth->highCycles;
+        util::Status ws = util::writeFileAtomic(
+            saifFile, gate::writeSaif(strober.synthesis().netlist,
+                                      truth->activity, opt));
+        if (!ws.isOk())
+            fatal("%s", ws.toString().c_str());
         std::printf("wrote duty-tracked SAIF activity (%llu cycles) "
                     "to %s\n",
-                    (unsigned long long)harness.cycles(),
-                    saifFile.c_str());
+                    (unsigned long long)truth->cycles, saifFile.c_str());
     }
     return 0;
 }
@@ -464,12 +448,10 @@ cmdChase(const std::string &coreName, uint32_t kib, unsigned latency)
 int
 cmdAsm(const char *path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open '%s'", path);
-    std::stringstream source;
-    source << in.rdbuf();
-    isa::Program prog = isa::assemble(source.str());
+    util::Result<std::string> source = util::readFile(path);
+    if (!source.isOk())
+        fatal("%s", source.status().toString().c_str());
+    isa::Program prog = isa::assemble(*source);
     std::printf("assembled %u bytes at 0x%08x\n", prog.sizeBytes(),
                 prog.base);
     isa::Iss iss;

@@ -28,16 +28,16 @@
  * failure / unreachable daemon, 4 refused (overloaded or draining) or
  * canceled, 5 wait timeout.
  *
- * A worker receiving SIGTERM drains: the in-flight lease is
- * checkpointed back to Pending and the process exits 0; a resumed run
- * produces the bit-identical report.
+ * A worker receiving SIGTERM drains: it takes no new lease (one taken
+ * as the signal lands is checkpointed back to Pending), replays and
+ * records the batch of leases it already holds, and exits 0; a resumed
+ * run produces the bit-identical report.
  */
 
 #include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -55,6 +55,7 @@
 #include "farm/stream.h"
 #include "service/client.h"
 #include "util/env.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 #include "trace/stimulus.h"
 #include "workloads/workloads.h"
@@ -408,10 +409,9 @@ cmdRun(const std::string &coreName, const std::string &wlName,
     std::string reportPath =
         opts.reportPath.empty() ? opts.dir + "/report.txt"
                                 : opts.reportPath;
-    std::ofstream out(reportPath, std::ios::trunc);
-    out << farm::renderReportDeterministic(*rep);
-    out.close();
-    if (!out)
+    if (!util::writeFileAtomic(reportPath,
+                               farm::renderReportDeterministic(*rep))
+             .isOk())
         fatal("cannot write report '%s'", reportPath.c_str());
     std::printf("report written to %s\n", reportPath.c_str());
     return farm::reportExitCode(*rep);
@@ -540,10 +540,8 @@ finishFromReply(const service::JobStatusReply &rep,
     std::printf("\n");
     if (!rep.reportText.empty()) {
         if (!opts.reportPath.empty()) {
-            std::ofstream out(opts.reportPath, std::ios::trunc);
-            out << rep.reportText;
-            out.close();
-            if (!out)
+            if (!util::writeFileAtomic(opts.reportPath, rep.reportText)
+                     .isOk())
                 fatal("cannot write report '%s'",
                       opts.reportPath.c_str());
             std::printf("report written to %s\n",
