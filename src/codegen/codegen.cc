@@ -15,11 +15,11 @@ using rtl::kNoSlot;
 
 namespace {
 
-/** Statements per plain eval chunk function. GCC's -O2 alias walking
- *  grows superlinearly with function size, so small functions compile
- *  several times faster in total; DESIGN.md ("Compiled simulation
- *  backend") has the measured table this value was picked from. */
-constexpr size_t kChunkStmts = 128;
+/** Statements per plain eval chunk function. Under the JIT's compile
+ *  profile (codegen/jit.cc) 64 and 128 build equally fast, and 64 runs
+ *  the fastest kernel; 256 is slower on both counts. DESIGN.md
+ *  ("Compiled simulation backend") has the measured table. */
+constexpr size_t kChunkStmts = 64;
 
 /** Statement budget of one chunk translation unit. Fixed rather than
  *  derived from the host's core count, so the emitted source stays a

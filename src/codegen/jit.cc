@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -12,7 +14,9 @@
 #include <dlfcn.h>
 #include <fcntl.h>
 #include <spawn.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
+#include <sys/time.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -35,6 +39,20 @@ using util::Status;
 using util::errorf;
 
 namespace {
+
+/**
+ * The optimization flags every translation unit of generated code is
+ * compiled with: -O1 with dead-store elimination off, plus the two -O2
+ * passes that bring the kernel back within a few percent of -O2. The
+ * emitted code stores each slot once, so DSE (about a seventh of -O2's
+ * time) never finds anything. DESIGN.md ("Compiled simulation
+ * backend") has the measured table this list was picked from. These
+ * are GCC spellings; a compiler that rejects one fails the compile,
+ * and the Simulator then falls back to its interpreter with a warning.
+ */
+constexpr const char *kCompileProfile[] = {
+    "-O1", "-fno-tree-dse", "-fno-dse", "-freorder-blocks-algorithm=stc",
+    "-fexpensive-optimizations"};
 
 bool
 isExecutableFile(const std::string &path)
@@ -178,16 +196,12 @@ spawnLogged(const std::vector<std::string> &argv, const std::string &log,
     return err == 0 ? pid : -1;
 }
 
-/** Wait for @p pid; its exit code, or -1 if it did not exit normally. */
-int
-reap(pid_t pid)
+/** @p tv in seconds. */
+double
+seconds(const timeval &tv)
 {
-    int wstatus = 0;
-    while (::waitpid(pid, &wstatus, 0) < 0) {
-        if (errno != EINTR)
-            return -1;
-    }
-    return WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+    return static_cast<double>(tv.tv_sec) +
+           static_cast<double>(tv.tv_usec) * 1e-6;
 }
 
 /** One compiler or linker run of the JIT. */
@@ -198,22 +212,54 @@ struct Job
     pid_t pid = -1;
     int spawnErr = 0;
     int exitCode = 0;
+    double startedAt = 0;   //!< util::monotonicSeconds() at launch
+    double wallSeconds = 0; //!< launch to reap
+    double cpuSeconds = 0;  //!< the child's user + system time
 
     bool failed() const { return pid < 0 || exitCode != 0; }
 };
 
-/** Run @p jobs, at most @p width at a time, reaping in launch order. */
-void
-runJobs(std::vector<Job> &jobs, unsigned width)
+/** Reap @p j if it has exited, without blocking; true once reaped. */
+bool
+tryReap(Job &j)
 {
-    size_t launched = 0;
-    for (size_t reaped = 0; reaped < jobs.size(); ++reaped) {
-        while (launched < jobs.size() && launched - reaped < width) {
-            Job &j = jobs[launched++];
+    int wstatus = 0;
+    struct rusage ru = {};
+    pid_t r = ::wait4(j.pid, &wstatus, WNOHANG, &ru);
+    if (r == 0 || (r < 0 && errno == EINTR))
+        return false;
+    j.exitCode = r == j.pid && WIFEXITED(wstatus) ? WEXITSTATUS(wstatus)
+                                                  : -1;
+    j.wallSeconds = util::monotonicSeconds() - j.startedAt;
+    j.cpuSeconds = seconds(ru.ru_utime) + seconds(ru.ru_stime);
+    return true;
+}
+
+/**
+ * Run @p jobs in the given order, at most @p width at a time. A slot
+ * is refilled as soon as any running job exits, so one slow unit never
+ * holds back the jobs queued behind it. Only the jobs' own pids are
+ * waited for: children the caller has elsewhere stay untouched.
+ */
+void
+runJobs(const std::vector<Job *> &jobs, unsigned width)
+{
+    std::vector<Job *> running;
+    size_t next = 0;
+    while (next < jobs.size() || !running.empty()) {
+        while (next < jobs.size() && running.size() < width) {
+            Job &j = *jobs[next++];
+            j.startedAt = util::monotonicSeconds();
             j.pid = spawnLogged(j.argv, j.log, j.spawnErr);
+            if (j.pid >= 0)
+                running.push_back(&j);
         }
-        Job &j = jobs[reaped];
-        j.exitCode = j.pid < 0 ? -1 : reap(j.pid);
+        size_t before = running.size();
+        running.erase(std::remove_if(running.begin(), running.end(),
+                                     [](Job *j) { return tryReap(*j); }),
+                      running.end());
+        if (!running.empty() && running.size() == before)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
 }
 
@@ -231,6 +277,15 @@ jobError(const Job &j, const std::string &what)
 }
 
 } // namespace
+
+double
+JitStats::compilerCpuSeconds() const
+{
+    double sum = 0;
+    for (const Unit &u : units)
+        sum += u.cpuSeconds;
+    return sum;
+}
 
 CompiledSim::~CompiledSim()
 {
@@ -257,6 +312,7 @@ hostCompiler()
 Result<std::unique_ptr<CompiledSim>>
 compileSimulator(const std::string &source, const std::string &tag)
 {
+    const double start = util::monotonicSeconds();
     std::string cxx = hostCompiler();
     if (cxx.empty())
         return Status(ErrorCode::Unsupported,
@@ -279,12 +335,26 @@ compileSimulator(const std::string &source, const std::string &tag)
         if (!out.flush())
             return errorf(ErrorCode::IoError, "cannot write '%s.cc'",
                           base.c_str());
-        compiles[u].argv = {cxx,     "-std=c++17", "-O2",       "-fPIC",
-                            "-c",    "-o",         base + ".o", base + ".cc"};
-        compiles[u].log = base + ".log";
+        Job &j = compiles[u];
+        j.argv = {cxx, "-std=c++17"};
+        j.argv.insert(j.argv.end(), std::begin(kCompileProfile),
+                      std::end(kCompileProfile));
+        j.argv.insert(j.argv.end(),
+                      {"-fPIC", "-c", "-o", base + ".o", base + ".cc"});
+        j.log = base + ".log";
         objects.push_back(base + ".o");
     }
-    runJobs(compiles, std::max(1u, std::thread::hardware_concurrency()));
+    // Longest unit first, so the unit that waits for a free core is a
+    // short one rather than a long serial tail.
+    std::vector<Job *> order;
+    for (Job &j : compiles)
+        order.push_back(&j);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](const Job *a, const Job *b) {
+                         return units[a - compiles.data()].size() >
+                                units[b - compiles.data()].size();
+                     });
+    runJobs(order, std::max(1u, std::thread::hardware_concurrency()));
     for (size_t u = 0; u < compiles.size(); ++u) {
         if (compiles[u].failed())
             return jobError(compiles[u],
@@ -294,13 +364,13 @@ compileSimulator(const std::string &source, const std::string &tag)
     }
 
     std::string so = scratch.path(tag + ".so");
-    std::vector<Job> link(1);
-    link[0].argv = {cxx, "-shared", "-o", so};
-    link[0].argv.insert(link[0].argv.end(), objects.begin(), objects.end());
-    link[0].log = scratch.path(tag + "_link.log");
-    runJobs(link, 1);
-    if (link[0].failed())
-        return jobError(link[0], "link");
+    Job link;
+    link.argv = {cxx, "-shared", "-o", so};
+    link.argv.insert(link.argv.end(), objects.begin(), objects.end());
+    link.log = scratch.path(tag + "_link.log");
+    runJobs({&link}, 1);
+    if (link.failed())
+        return jobError(link, "link");
 
     // The object stays mapped after dlopen; the scratch files go when
     // `scratch` does.
@@ -324,6 +394,9 @@ compileSimulator(const std::string &source, const std::string &tag)
                       "compiled module is missing entry points");
     sim->slots = *numSlots;
     sim->mems = *numMems;
+    for (const Job &j : compiles)
+        sim->jit.units.push_back({j.wallSeconds, j.cpuSeconds});
+    sim->jit.linkWallSeconds = link.wallSeconds;
 
     // Partitioned modules additionally stamp a chunk count and export
     // one eval function per chunk; a plain module has neither.
@@ -342,6 +415,7 @@ compileSimulator(const std::string &source, const std::string &tag)
             sim->chunkFns.push_back(fn);
         }
     }
+    sim->jit.totalWallSeconds = util::monotonicSeconds() - start;
     return sim;
 }
 

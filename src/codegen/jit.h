@@ -3,10 +3,12 @@
  * Host-toolchain JIT for the compiled-simulation backend: split the
  * emitted source (codegen/codegen.h) into its translation units, write
  * them to a private temp directory, compile them to objects with the
- * host C++ compiler — at most std::thread::hardware_concurrency() at
- * once — link one shared object, dlopen() it and resolve the entry
+ * host C++ compiler under one fixed compile profile (jit.cc),
+ * longest unit first and at most std::thread::hardware_concurrency()
+ * at once, link one shared object, dlopen() it and resolve the entry
  * points. Compilers run through posix_spawn with an argv (no shell)
- * and are reaped with waitpid; the temp directory is removed on every
+ * and are reaped with wait4, which also yields each compiler's CPU
+ * time (CompiledSim::stats()); the temp directory is removed on every
  * path.
  *
  * Compiler discovery, in order:
@@ -36,6 +38,24 @@
 namespace strober {
 namespace codegen {
 
+/** Host-side cost of one JIT build (observability only: timings are
+ *  never part of a report). */
+struct JitStats
+{
+    /** One translation unit's compile. */
+    struct Unit
+    {
+        double wallSeconds = 0; //!< launch to reap
+        double cpuSeconds = 0;  //!< compiler user + system time
+    };
+    std::vector<Unit> units; //!< in source order
+    double linkWallSeconds = 0;
+    double totalWallSeconds = 0; //!< compileSimulator() entry to return
+
+    /** Compiler CPU summed over the units. */
+    double compilerCpuSeconds() const;
+};
+
 /** A dlopen()ed compiled simulator; closes the handle on destruction. */
 class CompiledSim
 {
@@ -59,6 +79,8 @@ class CompiledSim
     uint64_t numMems() const { return mems; }
     /** Chunk functions of a partitioned module; empty for plain ones. */
     const std::vector<ChunkFn> &chunks() const { return chunkFns; }
+    /** What building this module cost. */
+    const JitStats &stats() const { return jit; }
 
   private:
     friend util::Result<std::unique_ptr<CompiledSim>>
@@ -71,6 +93,7 @@ class CompiledSim
     uint64_t slots = 0;
     uint64_t mems = 0;
     std::vector<ChunkFn> chunkFns;
+    JitStats jit;
 };
 
 /**

@@ -48,6 +48,33 @@ settle(ManifestEntry &entry, const ReplayRecord &rec)
 } // namespace
 
 // ---------------------------------------------------------------------------
+// StoreFailures
+
+StoreFailures::~StoreFailures()
+{
+    if (failures != 0) {
+        warn("%s failed for %llu result(s); the run went on uncached "
+             "(first failure: %s)",
+             what, (unsigned long long)failures, first.c_str());
+    }
+}
+
+void
+StoreFailures::note(const std::string &detail)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    if (failures++ == 0)
+        first = detail;
+}
+
+uint64_t
+StoreFailures::count() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return failures;
+}
+
+// ---------------------------------------------------------------------------
 // CachingReplayExecutor
 
 void
@@ -96,11 +123,8 @@ CachingReplayExecutor::fetch(const core::ReplayContext &ctx,
         size_t i = missAt[m];
         if (keys[i] && fresh[m].outcome.replayed()) {
             Status st = store.store(*keys[i], fresh[m]);
-            if (!st.isOk()) {
-                warn("result cache store failed (run continues uncached): "
-                     "%s",
-                     st.toString().c_str());
-            }
+            if (!st.isOk())
+                failedStores.note(st.toString());
         }
         out[i] = std::move(fresh[m]);
     }
@@ -354,8 +378,11 @@ FarmOrchestrator::replayAndPublish(std::vector<FileUnit> &units,
         // never a wrong number.
         Status ss = store.store(units[k].key, out[k]);
         if (!ss.isOk()) {
-            warn("cannot publish result for snapshot %zu: %s",
-                 units[k].index, ss.toString().c_str());
+            // Bound first: GCC 12 at -O3 raises a false -Wrestrict on
+            // "literal" + std::string&&.
+            const std::string index = std::to_string(units[k].index);
+            failedPublishes.note("snapshot " + index + ": " +
+                                 ss.toString());
         }
     }
     return out;

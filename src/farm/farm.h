@@ -29,6 +29,7 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,34 @@ namespace farm {
 
 class StreamFeed;
 struct StreamDrainOutcome;
+
+/**
+ * The failed result-cache stores of one executor or orchestrator. A
+ * cache that cannot be written fails every store the same way, so
+ * instead of one warning per snapshot this logs a single warning, with
+ * the count and the first failure, when it goes away. A failed store
+ * never changes a number: the run just goes on uncached.
+ */
+class StoreFailures
+{
+  public:
+    /** @p what names the failing operation in the warning. */
+    explicit StoreFailures(const char *what) : what(what) {}
+    ~StoreFailures();
+
+    StoreFailures(const StoreFailures &) = delete;
+    StoreFailures &operator=(const StoreFailures &) = delete;
+
+    /** Count one failed store; thread-safe. */
+    void note(const std::string &detail);
+    uint64_t count() const;
+
+  private:
+    const char *what;
+    mutable std::mutex mu;
+    uint64_t failures = 0;
+    std::string first; //!< detail of the first failure
+};
 
 /**
  * ResultCache adapter for EnergySimulator::Config::replayExecutor: the
@@ -73,12 +102,15 @@ class CachingReplayExecutor : public core::ReplayStore
 
     ResultCache &cache() { return store; }
     ResultCache::Stats cacheStats() const { return store.stats(); }
+    /** Verified results the cache could not store. */
+    uint64_t storeFailures() const { return failedStores.count(); }
 
   private:
     ResultCache store;
     uint64_t netlistFp = 0; //!< of the bound context
     uint64_t configFp = 0;
     std::atomic<uint64_t> executed{0};
+    StoreFailures failedStores{"result cache store"};
 };
 
 /** Configuration of one farm run. */
@@ -231,6 +263,8 @@ class FarmOrchestrator
     /** Gate-level replays this process performed (own, stolen,
      *  streamed and collected). */
     uint64_t replaysExecuted() const { return executed; }
+    /** Replayed results this process could not publish to the cache. */
+    uint64_t publishFailures() const { return failedPublishes.count(); }
 
     ResultCache &cache() { return store; }
     const FarmConfig &config() const { return cfg; }
@@ -247,6 +281,7 @@ class FarmOrchestrator
     core::AsicFlow asic;
 
     uint64_t executed = 0;
+    StoreFailures failedPublishes{"farm result publish"};
     /** Built on the first replay, so a fully warm run never lowers the
      *  netlist; gsim is core::replaySnapshots()' lone-lane fallback. */
     std::unique_ptr<core::ReplayTables> tables;

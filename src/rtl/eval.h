@@ -34,8 +34,10 @@ namespace rtl {
  * Evaluate one combinational @p op over operand values @p a / @p b /
  * @p c (already masked to their widths). Op::MemRead is the one comb
  * op this cannot evaluate (it needs memory contents); callers own it.
+ * Always inlined: in the interpreter's sweeps the switch then compiles
+ * to a jump table inside the loop instead of a call per evaluation.
  */
-inline uint64_t
+__attribute__((always_inline)) inline uint64_t
 evalOp(Op op, unsigned width, unsigned widthA, unsigned widthB,
        uint64_t imm, uint64_t a, uint64_t b, uint64_t c)
 {

@@ -400,7 +400,9 @@ Simulator::peek(const std::string &name)
     return peek(dsn.outputs()[idx].node);
 }
 
-uint64_t
+// Inlined into each sweep, so the op switch is a jump table inside the
+// loop rather than an out-of-line call per evaluation.
+__attribute__((always_inline)) inline uint64_t
 Simulator::evalStep(const EvalStep &s) const
 {
     const uint64_t *v = slots.data();
@@ -439,27 +441,45 @@ Simulator::evalCombActivity()
     // topologically ordered, so a step marked while draining always
     // sits at a strictly higher index than the step that marked it —
     // either a higher bit of the current word (picked up because the
-    // word is re-read every iteration) or a later word (maxDirtyWord
-    // is re-read by the loop condition). Ascending index order also
-    // keeps the evaluation sequence a sub-sequence of the full sweep.
+    // word is re-read every iteration) or a later word (maxWord is
+    // re-read by the loop condition). So only the upper bound can move
+    // during the drain. Ascending index order also keeps the
+    // evaluation sequence a sub-sequence of the full sweep.
+    const EvalStep *prog = evalPlan.hotProgram.data();
+    uint64_t *v = slots.data();
+    uint64_t *dirty = dirtyBits.data();
+    uint64_t *unitDirty = commitDirty.data();
+    const uint32_t *stepFanBegin = fanoutBegin.data();
+    const uint32_t *stepFan = fanoutSteps.data();
+    const uint32_t *unitFanBegin = commitFanoutBegin.data();
+    const uint32_t *unitFan = commitFanout.data();
+    const uint32_t numWords = static_cast<uint32_t>(dirtyBits.size());
+    uint32_t maxWord = maxDirtyWord;
     uint64_t evaluated = 0;
-    const size_t numWords = dirtyBits.size();
-    for (uint32_t w = minDirtyWord; w < numWords && w <= maxDirtyWord;
-         ++w) {
-        while (dirtyBits[w] != 0) {
-            uint32_t bit =
-                static_cast<uint32_t>(__builtin_ctzll(dirtyBits[w]));
-            dirtyBits[w] &= dirtyBits[w] - 1;
-            const EvalStep &s = evalPlan.hotProgram[(w << 6) | bit];
+    for (uint32_t w = minDirtyWord; w < numWords && w <= maxWord; ++w) {
+        while (dirty[w] != 0) {
+            uint32_t bit = static_cast<uint32_t>(__builtin_ctzll(dirty[w]));
+            dirty[w] &= dirty[w] - 1;
+            const EvalStep &s = prog[(w << 6) | bit];
             uint64_t r = evalStep(s);
             ++evaluated;
-            if (slots[s.dst] != r) {
-                slots[s.dst] = r;
-                markSlotChanged(s.dst);
+            if (v[s.dst] == r)
+                continue;
+            v[s.dst] = r;
+            for (uint32_t i = stepFanBegin[s.dst];
+                 i < stepFanBegin[s.dst + 1]; ++i) {
+                uint32_t step = stepFan[i];
+                dirty[step >> 6] |= 1ULL << (step & 63);
+                maxWord = std::max(maxWord, step >> 6);
+            }
+            for (uint32_t i = unitFanBegin[s.dst];
+                 i < unitFanBegin[s.dst + 1]; ++i) {
+                uint32_t unit = unitFan[i];
+                unitDirty[unit >> 6] |= 1ULL << (unit & 63);
             }
         }
     }
-    minDirtyWord = static_cast<uint32_t>(numWords);
+    minDirtyWord = numWords;
     maxDirtyWord = 0;
     evalCount += evaluated;
     skipCount += evalPlan.hotProgram.size() - evaluated;

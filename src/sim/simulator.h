@@ -116,6 +116,16 @@ class Simulator
     Backend backend() const { return effective; }
     Backend requestedBackend() const { return requested; }
 
+    /**
+     * What building the compiled module cost, or null when no module
+     * is attached (an interpreted backend, or a compiled one that fell
+     * back for lack of a host compiler).
+     */
+    const codegen::JitStats *jitStats() const
+    {
+        return module ? &module->stats() : nullptr;
+    }
+
     /** The optimized evaluation plan this simulator executes. */
     const rtl::EvalPlan &plan() const { return evalPlan; }
 

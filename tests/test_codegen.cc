@@ -6,6 +6,7 @@
  *     matches the plan, and evaluating them matches the interpreter;
  *   - sources that span several translation units compile in parallel
  *     and link into one module that still matches the interpreter,
+ *     report one wall/CPU entry per unit in the module's JIT stats,
  *     and the JIT leaves nothing behind in $TMPDIR on success or on a
  *     failed unit;
  *   - a $STROBER_CXX override must name an executable file, looked up
@@ -20,6 +21,7 @@
  *     identical results and identical activity counters.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -541,6 +543,37 @@ TEST(Codegen, MultiUnitModuleMatchesInterpreter)
     ASSERT_EQ(comp.backend(), Backend::Compiled);
     Simulator ref(d, Backend::InterpretedFull);
     expectLockstep(comp, ref, d, 300);
+}
+
+TEST(Codegen, MultiUnitModuleReportsPerUnitJitStats)
+{
+    if (codegen::hostCompiler().empty())
+        GTEST_SKIP() << "no host C++ compiler available";
+
+    Design d = wideDesign(8, 600);
+    rtl::EvalPlan plan = rtl::buildEvalPlan(d);
+    const size_t units =
+        delimiterCount(codegen::emitSimulatorSource(d, plan)) + 1;
+    ASSERT_GE(units, 4u);
+
+    Simulator comp(d, Backend::Compiled);
+    ASSERT_EQ(comp.backend(), Backend::Compiled);
+    const codegen::JitStats *jit = comp.jitStats();
+    ASSERT_NE(jit, nullptr);
+    ASSERT_EQ(jit->units.size(), units);
+    double slowest = 0;
+    for (size_t u = 0; u < units; ++u) {
+        EXPECT_GT(jit->units[u].wallSeconds, 0.0) << "unit " << u;
+        EXPECT_GT(jit->units[u].cpuSeconds, 0.0) << "unit " << u;
+        slowest = std::max(slowest, jit->units[u].wallSeconds);
+    }
+    EXPECT_GT(jit->compilerCpuSeconds(), 0.0);
+    EXPECT_GT(jit->linkWallSeconds, 0.0);
+    EXPECT_GE(jit->totalWallSeconds, slowest + jit->linkWallSeconds);
+
+    // Interpreted backends build no module.
+    Simulator interp(d, Backend::InterpretedFull);
+    EXPECT_EQ(interp.jitStats(), nullptr);
 }
 
 TEST(Codegen, MultiUnitPartitionedModuleResolvesEveryChunk)

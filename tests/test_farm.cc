@@ -1084,6 +1084,17 @@ TEST_F(FarmTest, BatchedFarmMatchesInProcessAcrossPassesAndShards)
     }
 }
 
+/** Occurrences of @p needle in @p text. */
+size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
 TEST_F(FarmTest, UnusableCacheDirectoryRunsUncachedWithoutExiting)
 {
     Design d = makeDut();
@@ -1096,27 +1107,60 @@ TEST_F(FarmTest, UnusableCacheDirectoryRunsUncachedWithoutExiting)
     { std::ofstream(file) << "x"; }
     std::string badCache = file + "/cache";
 
-    CachingReplayExecutor exec(badCache);
-    EXPECT_EQ(exec.cache().store(CacheKey{}, ReplayRecord{}).code(),
-              util::ErrorCode::IoError);
-    EnergySimulator::Config ccfg = cfg;
-    ccfg.replayExecutor = &exec;
-    Standard s = runStandard(d, ccfg);
-    EnergyReport viaExec = s.es->estimate();
-    expectReportsBitIdentical(uncached, viaExec);
-    EXPECT_EQ(viaExec.cacheHits, 0u);
-    EXPECT_EQ(exec.cache().entryCount(), 0u);
+    // Every replayed snapshot fails to store, yet the executor warns
+    // once, with the count, when it goes away.
+    uint64_t storeFailures = 0;
+    uint64_t replays = 0;
+    testing::internal::CaptureStderr();
+    {
+        CachingReplayExecutor exec(badCache);
+        EXPECT_EQ(exec.cache().store(CacheKey{}, ReplayRecord{}).code(),
+                  util::ErrorCode::IoError);
+        EnergySimulator::Config ccfg = cfg;
+        ccfg.replayExecutor = &exec;
+        Standard s = runStandard(d, ccfg);
+        EnergyReport viaExec = s.es->estimate();
+        expectReportsBitIdentical(uncached, viaExec);
+        EXPECT_EQ(viaExec.cacheHits, 0u);
+        EXPECT_EQ(exec.cache().entryCount(), 0u);
+        storeFailures = exec.storeFailures();
+        replays = exec.replaysExecuted();
+    }
+    const std::string execLog = testing::internal::GetCapturedStderr();
+    EXPECT_GT(replays, 1u);
+    EXPECT_EQ(storeFailures, replays);
+    EXPECT_EQ(countOf(execLog, "warn: "), 1u) << execLog;
+    // Bound first: GCC 12 at -O3 raises a false -Wrestrict on
+    // "literal" + std::string&&.
+    const std::string count = std::to_string(replays);
+    EXPECT_NE(execLog.find("result cache store failed for " + count +
+                           " result(s)"),
+              std::string::npos)
+        << execLog;
 
+    // The same for an orchestrator's publishes.
     FarmConfig fcfg = farmConfig(sub("run"), 2, cfg);
     fcfg.cacheDir = badCache;
-    FarmOrchestrator orch(d, fcfg);
-    ASSERT_TRUE(
-        orch.plan(ref.es->sampler().snapshots(), ref.population).isOk());
-    ASSERT_TRUE(orch.workShard(0).isOk());
-    ASSERT_TRUE(orch.workShard(1).isOk());
-    auto rep = orch.collect();
-    ASSERT_TRUE(rep.isOk()) << rep.status().toString();
-    expectReportsBitIdentical(uncached, *rep);
+    std::optional<util::Result<EnergyReport>> rep;
+    uint64_t publishFailures = 0;
+    testing::internal::CaptureStderr();
+    {
+        FarmOrchestrator orch(d, fcfg);
+        EXPECT_TRUE(orch.plan(ref.es->sampler().snapshots(), ref.population)
+                        .isOk());
+        EXPECT_TRUE(orch.workShard(0).isOk());
+        EXPECT_TRUE(orch.workShard(1).isOk());
+        rep.emplace(orch.collect());
+        publishFailures = orch.publishFailures();
+    }
+    const std::string orchLog = testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(rep->isOk()) << rep->status().toString();
+    expectReportsBitIdentical(uncached, **rep);
+    EXPECT_GT(publishFailures, 1u);
+    EXPECT_EQ(countOf(orchLog, "warn: "), 1u) << orchLog;
+    EXPECT_NE(orchLog.find("farm result publish failed for"),
+              std::string::npos)
+        << orchLog;
 }
 
 TEST_F(FarmTest, ZeroShardsIsRefusedByPlan)

@@ -291,6 +291,19 @@ cmdRun(const std::string &coreName, const std::string &wlName,
                                      : "",
                     rep.supersededReplays);
     }
+    // The JIT's host cost goes to stderr: stdout stays identical across
+    // backends, and timings are never part of a report.
+    if (const codegen::JitStats *jit =
+            strober.harness().tokenSim().simulator().jitStats()) {
+        double slowest = 0;
+        for (const codegen::JitStats::Unit &u : jit->units)
+            slowest = std::max(slowest, u.wallSeconds);
+        std::fprintf(stderr,
+                     "jit: %zu unit(s), %.2f s wall (slowest unit %.2f s, "
+                     "link %.2f s), %.2f s compiler CPU\n",
+                     jit->units.size(), jit->totalWallSeconds, slowest,
+                     jit->linkWallSeconds, jit->compilerCpuSeconds());
+    }
     if (cachingExec) {
         std::printf("replay cache: %zu hit(s), %zu miss(es), %llu "
                     "replay(s) executed\n",
