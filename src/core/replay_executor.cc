@@ -40,16 +40,122 @@ setPower(ReplayRecord &out, const power::PowerReport &p)
         out.groups.emplace_back(g.group, g.total());
 }
 
-gate::ReplayOptions
-replayOptions(const ReplayContext &ctx, const ReplayUnit &unit,
-              gate::LoaderKind loader)
+/** Record that attempt @p attempt of @p out threw @p e. */
+void
+recordException(ReplayRecord &out, unsigned attempt, const std::exception &e)
 {
-    gate::ReplayOptions opts;
-    opts.loader = loader;
-    opts.cycleBudget = ctx.cycleBudget;
-    if (ctx.cfg.stallPlan)
-        opts.injectedStallCycles = ctx.cfg.stallPlan->stallFor(unit.index);
-    return opts;
+    // Defense in depth: an exception escaping a replay must cost one
+    // sample, not the whole farm run.
+    SnapshotOutcome &oc = out.outcome;
+    oc.attempts = attempt + 1;
+    oc.retriedOnAlternateLoader = attempt > 0;
+    oc.status = SnapshotStatus::ReplayError;
+    oc.detail = strfmt("unexpected exception: %s", e.what());
+}
+
+/**
+ * The records of @p units under the full fault-handling policy: a first
+ * attempt on the configured loader and, with retries enabled, one more
+ * on the alternate loader for every unit it did not verify. Each
+ * attempt is one `replayLanes(lanes, onLane)` call over the units still
+ * open; a verified replay's power comes from @p model.
+ */
+template <typename ReplayLanes>
+std::vector<ReplayRecord>
+replayUnits(const ReplayContext &ctx, const std::vector<ReplayUnit> &units,
+            const ReplayLanes &replayLanes, const power::PowerModel &model)
+{
+    const EnergySimulator::Config &cfg = ctx.cfg;
+    // Job deadline: a replay that has not started by the deadline is
+    // recorded as a deterministic TimedOut outcome (attempts = 0, fixed
+    // detail string) so the degraded report's bytes depend only on
+    // *which* snapshots were cut off, never on wall-clock noise — and
+    // the job still terminates with survivors-only statistics.
+    const bool cutOff = cfg.job != nullptr && cfg.job->deadlineExpired();
+    std::vector<ReplayRecord> out(units.size());
+    std::vector<size_t> open; // units no attempt has verified yet
+    for (size_t k = 0; k < units.size(); ++k) {
+        SnapshotOutcome &oc = out[k].outcome;
+        oc.index = units[k].index;
+        oc.cycle = units[k].snap->cycle();
+        if (!cutOff) {
+            open.push_back(k);
+            continue;
+        }
+        oc.status = SnapshotStatus::TimedOut;
+        oc.attempts = 0;
+        oc.detail = "job deadline exceeded before replay";
+    }
+    const unsigned maxAttempts = cfg.retryFaultySnapshots ? 2 : 1;
+    for (unsigned attempt = 0; attempt < maxAttempts && !open.empty();
+         ++attempt) {
+        std::vector<gate::ReplayLane> lanes;
+        for (size_t k : open) {
+            gate::ReplayOptions opts;
+            opts.loader = attempt == 0 ? cfg.loader
+                                       : gate::alternateLoader(cfg.loader);
+            opts.cycleBudget = ctx.cycleBudget;
+            if (cfg.stallPlan) {
+                opts.injectedStallCycles =
+                    cfg.stallPlan->stallFor(units[k].index);
+            }
+            lanes.push_back(gate::ReplayLane{units[k].snap, opts});
+        }
+        std::vector<bool> reported(open.size(), false);
+        std::vector<size_t> failed; // bounded retry, then quarantine
+        auto record = [&](size_t j, util::Result<gate::GateReplayResult> &r) {
+            reported[j] = true;
+            ReplayRecord &rec = out[open[j]];
+            SnapshotOutcome &oc = rec.outcome;
+            oc.attempts = attempt + 1;
+            oc.retriedOnAlternateLoader = attempt > 0;
+            if (!r.isOk()) {
+                oc.status = classifyReplayError(r.status().code());
+                oc.detail = r.status().toString();
+                failed.push_back(open[j]);
+                return;
+            }
+            rec.modeledLoadSeconds += r->load.modeledSeconds;
+            if (r->outputMismatches) {
+                oc.status = SnapshotStatus::Diverged;
+                oc.mismatches = r->outputMismatches;
+                oc.detail = r->firstMismatch;
+                failed.push_back(open[j]);
+                return;
+            }
+            oc.status = SnapshotStatus::Replayed;
+            oc.mismatches = 0;
+            oc.detail.clear();
+            try {
+                setPower(rec, power::analyzePower(ctx.synth.netlist, model,
+                                                  r->activity, cfg.clockHz));
+            } catch (const std::exception &e) {
+                recordException(rec, attempt, e);
+                failed.push_back(open[j]);
+            }
+        };
+        try {
+            replayLanes(lanes, record);
+        } catch (const std::exception &) {
+            // Contain the exception per snapshot: the lanes it cut off
+            // replay one at a time.
+            for (size_t j = 0; j < open.size(); ++j) {
+                if (reported[j])
+                    continue;
+                try {
+                    replayLanes({lanes[j]},
+                                [&](size_t, util::Result<gate::GateReplayResult>
+                                                &r) { record(j, r); });
+                } catch (const std::exception &e) {
+                    recordException(out[open[j]], attempt, e);
+                    failed.push_back(open[j]);
+                }
+            }
+        }
+        std::sort(failed.begin(), failed.end());
+        open = std::move(failed);
+    }
+    return out;
 }
 
 } // namespace
@@ -72,106 +178,28 @@ ReplayRecord
 replaySnapshot(gate::GateSimulator &gsim, const ReplayContext &ctx,
                const ReplayUnit &unit)
 {
-    ReplayRecord out;
-    SnapshotOutcome &oc = out.outcome;
-    oc.index = unit.index;
-    oc.cycle = unit.snap->cycle();
-    const EnergySimulator::Config &cfg = ctx.cfg;
-    // Job deadline: a replay that has not started by the deadline is
-    // recorded as a deterministic TimedOut outcome (attempts = 0, fixed
-    // detail string) so the degraded report's bytes depend only on
-    // *which* snapshots were cut off, never on wall-clock noise — and
-    // the job still terminates with survivors-only statistics.
-    if (cfg.job != nullptr && cfg.job->deadlineExpired()) {
-        oc.status = SnapshotStatus::TimedOut;
-        oc.attempts = 0;
-        oc.detail = "job deadline exceeded before replay";
-        return out;
-    }
-    const unsigned maxAttempts = cfg.retryFaultySnapshots ? 2 : 1;
-    for (unsigned attempt = 0; attempt < maxAttempts; ++attempt) {
-        oc.attempts = attempt + 1;
-        gate::ReplayOptions opts = replayOptions(
-            ctx, unit,
-            attempt == 0 ? cfg.loader : gate::alternateLoader(cfg.loader));
-        oc.retriedOnAlternateLoader = attempt > 0;
-        try {
+    auto replayAlone = [&](const std::vector<gate::ReplayLane> &lanes,
+                           const gate::LaneResultFn &onLane) {
+        for (size_t j = 0; j < lanes.size(); ++j) {
             util::Result<gate::GateReplayResult> r = gate::replayOnGate(
-                gsim, ctx.target, ctx.match, *unit.snap, opts);
-            if (!r.isOk()) {
-                oc.status = classifyReplayError(r.status().code());
-                oc.detail = r.status().toString();
-                continue; // bounded retry, then quarantine
-            }
-            out.modeledLoadSeconds += r->load.modeledSeconds;
-            if (r->outputMismatches) {
-                oc.status = SnapshotStatus::Diverged;
-                oc.mismatches = r->outputMismatches;
-                oc.detail = r->firstMismatch;
-                continue;
-            }
-            oc.status = SnapshotStatus::Replayed;
-            oc.mismatches = 0;
-            oc.detail.clear();
-            setPower(out, power::analyzePower(ctx.synth.netlist,
-                                              ctx.placement, r->activity,
-                                              cfg.clockHz));
-        } catch (const std::exception &e) {
-            // Defense in depth: an exception escaping a replay must
-            // cost one sample, not the whole farm run.
-            oc.status = SnapshotStatus::ReplayError;
-            oc.detail = strfmt("unexpected exception: %s", e.what());
-            continue;
+                gsim, ctx.target, ctx.match, *lanes[j].snap, lanes[j].options);
+            onLane(j, r);
         }
-        break;
-    }
-    return out;
+    };
+    power::PowerModel model(ctx.synth.netlist, ctx.placement);
+    return std::move(replayUnits(ctx, {unit}, replayAlone, model).front());
 }
 
 std::vector<ReplayRecord>
 replaySnapshots(const ReplayContext &ctx, const ReplayTables &tables,
-                std::unique_ptr<gate::GateSimulator> &gsim,
                 const std::vector<ReplayUnit> &units)
 {
-    std::vector<ReplayRecord> out(units.size());
-    std::vector<bool> done(units.size(), false);
-    // Past the job deadline every unit takes replaySnapshot()'s
-    // deterministic cut-off record.
-    if (ctx.cfg.job == nullptr || !ctx.cfg.job->deadlineExpired()) {
-        std::vector<gate::ReplayLane> lanes;
-        for (const ReplayUnit &unit : units) {
-            lanes.push_back(gate::ReplayLane{
-                unit.snap, replayOptions(ctx, unit, ctx.cfg.loader)});
-        }
-        try {
-            gate::replayLanesOnGate(
-                tables.program, ctx.synth.netlist, ctx.target, ctx.match,
-                lanes, [&](size_t k, const gate::GateReplayResult &r) {
-                    // replaySnapshot()'s record of a first-attempt success.
-                    SnapshotOutcome &oc = out[k].outcome;
-                    oc.index = units[k].index;
-                    oc.cycle = units[k].snap->cycle();
-                    oc.status = SnapshotStatus::Replayed;
-                    oc.attempts = 1;
-                    out[k].modeledLoadSeconds = r.load.modeledSeconds;
-                    setPower(out[k], power::analyzePower(
-                                         ctx.synth.netlist, tables.power,
-                                         r.activity, ctx.cfg.clockHz));
-                    done[k] = true;
-                });
-        } catch (const std::exception &) {
-            // Unfinished lanes replay alone below, which contains the
-            // exception as that snapshot's outcome.
-        }
-    }
-    for (size_t k = 0; k < units.size(); ++k) {
-        if (done[k])
-            continue;
-        if (!gsim)
-            gsim = std::make_unique<gate::GateSimulator>(ctx.synth.netlist);
-        out[k] = replaySnapshot(*gsim, ctx, units[k]);
-    }
-    return out;
+    auto replayLanes = [&](const std::vector<gate::ReplayLane> &lanes,
+                           const gate::LaneResultFn &onLane) {
+        gate::replayLanesOnGate(tables.program, ctx.synth.netlist,
+                                ctx.target, ctx.match, lanes, onLane);
+    };
+    return replayUnits(ctx, units, replayLanes, tables.power);
 }
 
 ReplayEngine::ReplayEngine(const ReplayContext &ctx, ReplayStore *store,
@@ -235,11 +263,10 @@ ReplayEngine::onSlotEvicted(size_t slot, uint64_t generation)
 }
 
 std::vector<ReplayRecord>
-ReplayEngine::replay(std::unique_ptr<gate::GateSimulator> &gsim,
-                     const std::vector<ReplayUnit> &units)
+ReplayEngine::replay(const std::vector<ReplayUnit> &units)
 {
     auto run = [&](const std::vector<ReplayUnit> &misses) {
-        return replaySnapshots(ctx, tables(), gsim, misses);
+        return replaySnapshots(ctx, tables(), misses);
     };
     return store ? store->fetch(ctx, units, run) : run(units);
 }
@@ -255,8 +282,6 @@ ReplayEngine::tables()
 void
 ReplayEngine::workerMain()
 {
-    // Built lazily, only for lanes that must replay alone.
-    std::unique_ptr<gate::GateSimulator> gsim;
     for (;;) {
         std::vector<Item> batch;
         {
@@ -282,7 +307,7 @@ ReplayEngine::workerMain()
         std::vector<ReplayUnit> units;
         for (const Item &item : batch)
             units.push_back(ReplayUnit{item.slot, item.snap.get()});
-        std::vector<ReplayRecord> recs = replay(gsim, units);
+        std::vector<ReplayRecord> recs = replay(units);
         std::lock_guard<std::mutex> lk(mtx);
         inFlight -= batch.size();
         counters.lastReplayEnd = util::monotonicSeconds();
@@ -370,7 +395,7 @@ ReplayEngine::takeAll()
 ReplayRecord
 ReplayEngine::replayInline(const ReplayUnit &unit)
 {
-    return std::move(replay(inlineSim, {unit}).front());
+    return std::move(replay({unit}).front());
 }
 
 ReplayEngine::Stats

@@ -88,9 +88,9 @@ uint64_t resolveReplayBudget(const EnergySimulator::Config &cfg,
 /**
  * Replay one snapshot with the full fault-handling path: bounded retry
  * on the alternate loader, watchdog, divergence classification,
- * exception containment, power analysis of a verified replay. This is
- * THE per-snapshot pure function; every replay path (engine workers,
- * farm worker processes) funnels through it.
+ * exception containment, power analysis of a verified replay. The
+ * single-snapshot face of replaySnapshots(), with the same attempt
+ * policy and the same records.
  */
 ReplayRecord replaySnapshot(gate::GateSimulator &gsim,
                             const ReplayContext &ctx,
@@ -111,16 +111,15 @@ struct ReplayTables
 };
 
 /**
- * replaySnapshot() over a batch: the record replaySnapshot() would
- * return for each of @p units, in order. Units replay in lockstep
- * through gate::replayLanesOnGate on @p tables; a unit that cannot
- * finish cleanly there (incomplete or mis-shaped snapshot, a cycle
- * budget it would exceed, a divergence, a passed job deadline) replays
- * alone through replaySnapshot() on @p gsim, built on first use.
+ * THE per-snapshot pure function, over a batch: the record
+ * replaySnapshot() would return for each of @p units, in order. Each
+ * attempt is one gate::replayLanesOnGate call on @p tables over the
+ * units no earlier attempt verified; past the job deadline every unit
+ * takes the cut-off record. Every replay path (engine workers, farm
+ * worker processes) funnels through it.
  */
 std::vector<ReplayRecord>
 replaySnapshots(const ReplayContext &ctx, const ReplayTables &tables,
-                std::unique_ptr<gate::GateSimulator> &gsim,
                 const std::vector<ReplayUnit> &units);
 
 /**
@@ -158,11 +157,9 @@ class ReplayStore
  * The replay engine: a bounded queue of (slot, generation, snapshot)
  * items drained by worker threads. A worker takes up to
  * gate::kReplayLanes items at a time (its share of the queue), asks the
- * store (if any) for them, and replays the misses in lockstep through
- * gate::replayLanesOnGate on one lowering of the netlist shared by all
- * workers; a lane that cannot finish cleanly there is replayed alone
- * through replaySnapshot(), so every record is the one replaySnapshot()
- * would produce. Records are slot-indexed.
+ * store (if any) for them, and replays the misses through
+ * replaySnapshots() on one lowering of the netlist shared by all
+ * workers. Records are slot-indexed.
  *
  * The feed is the fame::SampleObserver protocol, so estimateStreaming()
  * installs the engine on the sampler and replay overlaps the fast sim:
@@ -258,11 +255,8 @@ class ReplayEngine : public fame::SampleObserver
 
     void workerMain();
     /** Records of @p units through the store (if any) and a batched
-     *  replay of the misses; @p gsim is the lazily built simulator for
-     *  lanes replayed alone. */
-    std::vector<ReplayRecord>
-    replay(std::unique_ptr<gate::GateSimulator> &gsim,
-           const std::vector<ReplayUnit> &units);
+     *  replay of the misses. */
+    std::vector<ReplayRecord> replay(const std::vector<ReplayUnit> &units);
     /** Built on the first miss: store hits never pay for a lowering. */
     const ReplayTables &tables();
 
@@ -270,7 +264,6 @@ class ReplayEngine : public fame::SampleObserver
     ReplayStore *store;
     size_t bound;
     const unsigned nWorkers;
-    std::unique_ptr<gate::GateSimulator> inlineSim; //!< replayInline only
     std::once_flag tablesOnce;
     std::unique_ptr<const ReplayTables> builtTables;
 

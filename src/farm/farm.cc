@@ -368,7 +368,7 @@ FarmOrchestrator::replayAndPublish(std::vector<FileUnit> &units,
         tables = std::make_unique<core::ReplayTables>(ctx);
     executed += batch.size();
     std::vector<ReplayRecord> recs =
-        core::replaySnapshots(ctx, *tables, gsim, batch);
+        core::replaySnapshots(ctx, *tables, batch);
     for (size_t m = 0; m < batch.size(); ++m) {
         size_t k = batchAt[m];
         out[k] = std::move(recs[m]);

@@ -283,9 +283,8 @@ class FarmOrchestrator
     uint64_t executed = 0;
     StoreFailures failedPublishes{"farm result publish"};
     /** Built on the first replay, so a fully warm run never lowers the
-     *  netlist; gsim is core::replaySnapshots()' lone-lane fallback. */
+     *  netlist. */
     std::unique_ptr<core::ReplayTables> tables;
-    std::unique_ptr<gate::GateSimulator> gsim;
 
     /** One snapshot file to replay. */
     struct FileUnit

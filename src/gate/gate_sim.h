@@ -81,35 +81,17 @@ class GateSimulator
         return sim.highCycles();
     }
 
-    // --- State access (loaders / verification) -------------------------
+    // --- State access (verification) -------------------------------------
     bool dffValue(NetId net) const { return sim.netValue(net, 0); }
-    void setDff(NetId net, bool value) { sim.setDff(net, 0, value); }
     uint64_t
     macroWord(size_t macroIdx, uint64_t addr) const
     {
         return sim.macroWord(macroIdx, 0, addr);
     }
-    void
-    setMacroWord(size_t macroIdx, uint64_t addr, uint64_t value)
-    {
-        sim.setMacroWord(macroIdx, 0, addr, value);
-    }
-    /** Registered read data of a sync macro port. */
-    uint64_t
-    macroReadData(size_t macroIdx, size_t port) const
-    {
-        return sim.macroReadData(macroIdx, port, 0);
-    }
-    void
-    setMacroReadData(size_t macroIdx, size_t port, uint64_t value)
-    {
-        sim.setMacroReadData(macroIdx, port, 0, value);
-    }
 
-    // --- Forcing (retiming warm-up) --------------------------------------
-    /** Override a net's value during evaluation until released. */
-    void forceNet(NetId net, bool value) { sim.forceNet(net, 0, value); }
-    void releaseForces() { sim.releaseForces(); }
+    /** The evaluator behind this face: replay and the state loader
+     *  drive it as one lane. */
+    LaneSimulator<uint8_t> &lanes() { return sim; }
 
   private:
     GateProgram program;

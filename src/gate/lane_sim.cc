@@ -438,18 +438,6 @@ LaneSimulator<Lane>::macroWord(size_t macroIdx, unsigned lane,
 
 template <typename Lane>
 void
-LaneSimulator<Lane>::setMacroWord(size_t macroIdx, unsigned lane,
-                                  uint64_t addr, uint64_t value)
-{
-    if (macroIdx >= nl.macros().size() || addr >= nl.macros()[macroIdx].depth)
-        throw std::out_of_range("setMacroWord: no such macro word");
-    ownWords(lane, macroIdx)[addr] =
-        truncate(value, nl.macros()[macroIdx].width);
-    combStale = true;
-}
-
-template <typename Lane>
-void
 LaneSimulator<Lane>::loadMacro(size_t macroIdx, unsigned lane,
                                const std::vector<uint64_t> &words,
                                bool borrow)
@@ -469,18 +457,6 @@ LaneSimulator<Lane>::loadMacro(size_t macroIdx, unsigned lane,
         lm.words = lm.own.data();
     }
     combStale = true;
-}
-
-template <typename Lane>
-uint64_t
-LaneSimulator<Lane>::macroReadData(size_t macroIdx, size_t port,
-                                   unsigned lane) const
-{
-    const MacroMem &m = nl.macros().at(macroIdx);
-    uint64_t v = 0;
-    for (unsigned b = 0; b < m.width; ++b)
-        v |= static_cast<uint64_t>(netValue(m.reads[port].data[b], lane)) << b;
-    return v;
 }
 
 template <typename Lane>

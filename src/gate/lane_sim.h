@@ -4,8 +4,8 @@
  * k of a net's word is that net's value in lane k. Every lane is an
  * independent simulation of the same netlist (one replayed snapshot), so
  * one pass over the op list advances up to 8 * sizeof(Lane) snapshots.
- * GateSimulator is its one-lane face; batched replay (gate/replay.h)
- * drives the wider instantiations.
+ * GateSimulator is its one-lane face; replay (gate/replay.h) drives it
+ * at every width, a single replay being the one-lane case.
  *
  * Activity: a net's toggles in each lane come from bit-sliced (vertical)
  * counters over old ^ new: kPlanes lane words per net, plane p holding
@@ -89,8 +89,6 @@ class LaneSimulator
     }
     void setDff(NetId net, unsigned lane, bool value);
     uint64_t macroWord(size_t macroIdx, unsigned lane, uint64_t addr) const;
-    void setMacroWord(size_t macroIdx, unsigned lane, uint64_t addr,
-                      uint64_t value);
     /**
      * Replace lane @p lane's contents of macro @p macroIdx with @p words
      * (one per address). With @p borrow the lane reads @p words in place
@@ -99,9 +97,7 @@ class LaneSimulator
      */
     void loadMacro(size_t macroIdx, unsigned lane,
                    const std::vector<uint64_t> &words, bool borrow);
-    /** Registered read data of a sync macro port. */
-    uint64_t macroReadData(size_t macroIdx, size_t port,
-                           unsigned lane) const;
+    /** Set the registered read data of a sync macro port. */
     void setMacroReadData(size_t macroIdx, size_t port, unsigned lane,
                           uint64_t value);
 

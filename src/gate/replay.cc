@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "gate/lane_sim.h"
 #include "util/bits.h"
@@ -36,10 +37,10 @@ warmupRow(size_t rows, unsigned lat, unsigned t, unsigned maxLat)
 
 } // namespace
 
-util::Result<GateReplayResult>
-replayOnGate(GateSimulator &gsim, const rtl::Design &target,
-             const MatchTable &table, const fame::ReplayableSnapshot &snap,
-             const ReplayOptions &options)
+util::Status
+checkLane(const GateNetlist &nl, const rtl::Design &target,
+          const MatchTable &table, const fame::ReplayableSnapshot &snap,
+          const ReplayOptions &options)
 {
     using util::ErrorCode;
 
@@ -47,12 +48,17 @@ replayOnGate(GateSimulator &gsim, const rtl::Design &target,
         return util::errorf(ErrorCode::InvalidArgument,
                             "replaying an incomplete snapshot");
     }
-    const GateNetlist &nl = gsim.netlist();
-    if (snap.outputTrace.size() != snap.inputTrace.size()) {
+    const size_t cycles = snap.inputTrace.size();
+    if (snap.outputTrace.size() != cycles) {
         return util::errorf(ErrorCode::GeometryMismatch,
                             "snapshot trace has %zu input cycles but %zu "
                             "output cycles",
-                            snap.inputTrace.size(), snap.outputTrace.size());
+                            cycles, snap.outputTrace.size());
+    }
+    if (cycles == 0) {
+        // Nothing to verify and no activity window to analyze.
+        return util::errorf(ErrorCode::InvalidArgument,
+                            "snapshot trace has no cycles");
     }
 
     // Watchdog bookkeeping: every simulator step (and every injected
@@ -69,196 +75,99 @@ replayOnGate(GateSimulator &gsim, const rtl::Design &target,
                             (unsigned long long)options.cycleBudget);
     }
 
-    GateReplayResult result;
-    gsim.reset();
-
-    // --- Retiming warm-up (Section IV-C3) --------------------------------
-    // Force every region's inputs with its captured history so the moved
-    // registers reach the values they must hold at the capture cycle.
-    unsigned maxLat = maxRetimeLatency(nl);
-    if (maxLat > 0) {
-        if (snap.retimeHistory.size() != nl.retime().size()) {
-            return util::errorf(ErrorCode::GeometryMismatch,
-                                "snapshot carries %zu retime histories, "
-                                "netlist has %zu regions",
-                                snap.retimeHistory.size(),
-                                nl.retime().size());
-        }
-        for (unsigned t = 0; t < maxLat; ++t) {
-            for (size_t ri = 0; ri < nl.retime().size(); ++ri) {
-                const RetimeNetInfo &region = nl.retime()[ri];
-                const auto &history = snap.retimeHistory[ri];
-                if (history.empty())
-                    continue;
-                const std::vector<uint64_t> &values = history[warmupRow(
-                    history.size(), region.latency, t, maxLat)];
-                if (values.size() != region.inputNets.size()) {
-                    return util::errorf(
-                        ErrorCode::GeometryMismatch,
-                        "retime region %zu history row has %zu values, "
-                        "region has %zu inputs",
-                        ri, values.size(), region.inputNets.size());
-                }
-                for (size_t in = 0; in < region.inputNets.size(); ++in) {
-                    const std::vector<NetId> &nets = region.inputNets[in];
-                    uint64_t v = values[in];
-                    for (size_t b = 0; b < nets.size(); ++b)
-                        gsim.forceNet(nets[b], bit(v, b));
-                }
-            }
-            gsim.step();
-            ++consumed;
-            if (overBudget()) {
+    // Retiming warm-up: one step per cycle of the deepest region.
+    const unsigned maxLat = maxRetimeLatency(nl);
+    if (maxLat > 0 && snap.retimeHistory.size() != nl.retime().size()) {
+        return util::errorf(ErrorCode::GeometryMismatch,
+                            "snapshot carries %zu retime histories, "
+                            "netlist has %zu regions",
+                            snap.retimeHistory.size(), nl.retime().size());
+    }
+    for (unsigned t = 0; t < maxLat; ++t) {
+        for (size_t ri = 0; ri < nl.retime().size(); ++ri) {
+            const RetimeNetInfo &region = nl.retime()[ri];
+            const auto &history = snap.retimeHistory[ri];
+            if (history.empty())
+                continue;
+            const std::vector<uint64_t> &values = history[warmupRow(
+                history.size(), region.latency, t, maxLat)];
+            if (values.size() != region.inputNets.size()) {
                 return util::errorf(
-                    ErrorCode::Timeout,
-                    "replay exceeded its cycle budget during retiming "
-                    "warm-up (%llu consumed, budget %llu)",
-                    (unsigned long long)consumed,
-                    (unsigned long long)options.cycleBudget);
+                    ErrorCode::GeometryMismatch,
+                    "retime region %zu history row has %zu values, "
+                    "region has %zu inputs",
+                    ri, values.size(), region.inputNets.size());
             }
         }
-        gsim.releaseForces();
+        ++consumed;
+        if (overBudget()) {
+            return util::errorf(
+                ErrorCode::Timeout,
+                "replay exceeded its cycle budget during retiming "
+                "warm-up (%llu consumed, budget %llu)",
+                (unsigned long long)consumed,
+                (unsigned long long)options.cycleBudget);
+        }
     }
 
-    // --- State loading ----------------------------------------------------
-    util::Result<LoadReport> load =
-        loadState(gsim, target, table, snap.state, options.loader);
-    if (!load.isOk()) {
-        const util::Status &st = load.status();
-        return util::Status(st.code() == ErrorCode::GeometryMismatch
-                                ? ErrorCode::GeometryMismatch
-                                : ErrorCode::LoadFailure,
-                            "state load failed: " + st.message());
-    }
-    result.load = *load;
+    util::Status load = checkLoad(nl, target, table, snap.state);
+    if (!load.isOk())
+        return util::Status(load.code(),
+                            "state load failed: " + load.message());
 
-    // --- Drive the I/O trace and verify outputs --------------------------
-    gsim.clearActivity();
-    for (size_t t = 0; t < snap.inputTrace.size(); ++t) {
-        const auto &inputs = snap.inputTrace[t];
-        if (inputs.size() != nl.inputs().size()) {
+    // The I/O trace: one step per cycle.
+    for (size_t t = 0; t < cycles; ++t) {
+        if (snap.inputTrace[t].size() != nl.inputs().size()) {
             return util::errorf(ErrorCode::GeometryMismatch,
                                 "snapshot trace has %zu inputs, netlist "
                                 "has %zu",
-                                inputs.size(), nl.inputs().size());
+                                snap.inputTrace[t].size(),
+                                nl.inputs().size());
         }
-        for (size_t i = 0; i < inputs.size(); ++i)
-            gsim.pokePort(i, inputs[i]);
-
-        const auto &expected = snap.outputTrace[t];
-        if (expected.size() != nl.outputs().size()) {
+        if (snap.outputTrace[t].size() != nl.outputs().size()) {
             return util::errorf(ErrorCode::GeometryMismatch,
                                 "snapshot trace has %zu outputs, netlist "
                                 "has %zu",
-                                expected.size(), nl.outputs().size());
+                                snap.outputTrace[t].size(),
+                                nl.outputs().size());
         }
-        for (size_t o = 0; o < nl.outputs().size(); ++o) {
-            uint64_t got = gsim.peekPort(o);
-            if (got != expected[o]) {
-                ++result.outputMismatches;
-                if (result.firstMismatch.empty()) {
-                    result.firstMismatch = strfmt(
-                        "cycle +%zu output '%s': got 0x%llx expected 0x%llx",
-                        t, nl.outputs()[o].name.c_str(),
-                        (unsigned long long)got,
-                        (unsigned long long)expected[o]);
-                }
-            }
-        }
-        gsim.step();
-        ++result.cyclesReplayed;
         ++consumed;
         if (overBudget()) {
             return util::errorf(ErrorCode::Timeout,
                                 "replay exceeded its cycle budget after "
-                                "%llu of %zu trace cycles (budget %llu)",
-                                (unsigned long long)result.cyclesReplayed,
-                                snap.inputTrace.size(),
+                                "%zu of %zu trace cycles (budget %llu)",
+                                t + 1, cycles,
                                 (unsigned long long)options.cycleBudget);
         }
     }
-
-    result.activity.netToggles = gsim.toggleCounts();
-    result.activity.macroAccesses = gsim.macroStats();
-    result.activity.cycles = gsim.activityCycles();
-    return result;
+    return util::Status();
 }
 
 namespace {
 
-/** Whether @p lane passes every check replayOnGate (and the loader)
- *  would make, and fits its cycle budget. */
-bool
-replaysCleanly(const GateNetlist &nl, const rtl::Design &target,
-               const MatchTable &table, const ReplayLane &lane,
-               unsigned maxLat)
-{
-    const fame::ReplayableSnapshot &snap = *lane.snap;
-    if (!snap.complete || snap.outputTrace.size() != snap.inputTrace.size())
-        return false;
-    const ReplayOptions &opt = lane.options;
-    if (opt.cycleBudget != 0 &&
-        opt.injectedStallCycles + maxLat + snap.inputTrace.size() >
-            opt.cycleBudget)
-        return false;
-    if (maxLat > 0) {
-        if (snap.retimeHistory.size() != nl.retime().size())
-            return false;
-        for (size_t ri = 0; ri < nl.retime().size(); ++ri) {
-            for (const std::vector<uint64_t> &row : snap.retimeHistory[ri]) {
-                if (row.size() != nl.retime()[ri].inputNets.size())
-                    return false;
-            }
-        }
-    }
-    if (!checkStateShape(target, snap.state).isOk())
-        return false;
-    for (size_t mi = 0; mi < target.mems().size(); ++mi) {
-        const rtl::MemInfo &m = target.mems()[mi];
-        int macro = table.memToMacro[mi];
-        if (macro < 0 || static_cast<size_t>(macro) >= nl.macros().size())
-            return false;
-        const MacroMem &mm = nl.macros()[macro];
-        if (mm.depth != m.depth ||
-            (m.syncRead && (!mm.syncRead || mm.reads.size() < m.reads.size())))
-            return false;
-    }
-    for (size_t t = 0; t < snap.inputTrace.size(); ++t) {
-        if (snap.inputTrace[t].size() != nl.inputs().size() ||
-            snap.outputTrace[t].size() != nl.outputs().size())
-            return false;
-    }
-    return true;
-}
-
-/** Whether every word of @p words fits @p width bits. */
-bool
-fitsWidth(const std::vector<uint64_t> &words, unsigned width)
-{
-    uint64_t high = ~bitMask(width);
-    for (uint64_t w : words) {
-        if (w & high)
-            return false;
-    }
-    return true;
-}
-
-/** One lockstep pass over the lanes @p which (all of trace length L). */
+/**
+ * One lockstep pass of @p sim, freshly reset, over the lanes @p which
+ * of @p lanes (lane k of @p sim replays lanes[which[k]]; all pass
+ * checkLane() and share one trace length). @p borrow lets lanes read
+ * the snapshots' memory words in place.
+ */
 template <typename Lane>
 void
-replayPass(const GateProgram &program, const GateNetlist &nl,
-           const rtl::Design &target, const MatchTable &table,
-           const std::vector<ReplayLane> &lanes,
-           const std::vector<size_t> &which, unsigned maxLat,
-           std::vector<bool> &clean, const LaneResultFn &onLane)
+replayPass(LaneSimulator<Lane> &sim, const rtl::Design &target,
+           const MatchTable &table, const std::vector<ReplayLane> &lanes,
+           const std::vector<size_t> &which, bool borrow,
+           const LaneResultFn &onLane)
 {
+    const GateNetlist &nl = sim.netlist();
     const unsigned n = static_cast<unsigned>(which.size());
-    LaneSimulator<Lane> sim(nl, program, n);
+    const unsigned maxLat = maxRetimeLatency(nl);
     auto snap = [&](unsigned k) -> const fame::ReplayableSnapshot & {
         return *lanes[which[k]].snap;
     };
 
-    // --- Retiming warm-up: every lane's history through its force mask.
+    // --- Retiming warm-up (Section IV-C3): force every region's inputs
+    // with each lane's captured history so the moved registers reach the
+    // values they must hold at the capture cycle.
     for (unsigned t = 0; t < maxLat; ++t) {
         for (size_t ri = 0; ri < nl.retime().size(); ++ri) {
             const RetimeNetInfo &region = nl.retime()[ri];
@@ -279,36 +188,14 @@ replayPass(const GateProgram &program, const GateNetlist &nl,
     }
     sim.releaseForces();
 
-    // --- Per-lane state load (snapshot words are borrowed, not copied).
-    for (unsigned k = 0; k < n; ++k) {
-        const fame::StateSnapshot &state = snap(k).state;
-        for (size_t i = 0; i < target.regs().size(); ++i) {
-            if (table.regRetimed[i])
-                continue;
-            unsigned width = target.node(target.regs()[i].node).width;
-            for (unsigned b = 0; b < width; ++b) {
-                sim.setDff(table.regToDff[i][b], k,
-                           bit(state.regValues[i], b));
-            }
-        }
-        for (size_t mi = 0; mi < target.mems().size(); ++mi) {
-            const rtl::MemInfo &m = target.mems()[mi];
-            size_t macro = static_cast<size_t>(table.memToMacro[mi]);
-            const std::vector<uint64_t> &words = state.memContents[mi];
-            sim.loadMacro(macro, k, words,
-                          fitsWidth(words, nl.macros()[macro].width));
-            if (m.syncRead) {
-                for (size_t p = 0; p < m.reads.size(); ++p) {
-                    sim.setMacroReadData(macro, p, k,
-                                         state.syncReadData[mi][p]);
-                }
-            }
-        }
-    }
+    // --- Per-lane state load.
+    for (unsigned k = 0; k < n; ++k)
+        writeLaneState(sim, k, target, table, snap(k).state, borrow);
 
     // --- Drive the I/O trace and check every lane's outputs.
     sim.clearActivity();
-    std::vector<bool> diverged(n, false);
+    std::vector<uint64_t> mismatches(n, 0);
+    std::vector<std::string> firstMismatch(n);
     uint64_t io[LaneSimulator<Lane>::kLanes];
     const size_t cycles = snap(0).inputTrace.size();
     for (size_t t = 0; t < cycles; ++t) {
@@ -320,46 +207,89 @@ replayPass(const GateProgram &program, const GateNetlist &nl,
         for (size_t o = 0; o < nl.outputs().size(); ++o) {
             sim.peekPort(o, io);
             for (unsigned k = 0; k < n; ++k) {
-                if (io[k] != snap(k).outputTrace[t][o])
-                    diverged[k] = true;
+                uint64_t expected = snap(k).outputTrace[t][o];
+                if (io[k] != expected && mismatches[k]++ == 0) {
+                    firstMismatch[k] = strfmt(
+                        "cycle +%zu output '%s': got 0x%llx expected 0x%llx",
+                        t, nl.outputs()[o].name.c_str(),
+                        (unsigned long long)io[k],
+                        (unsigned long long)expected);
+                }
             }
         }
         sim.step();
     }
 
-    // --- Hand out one clean lane's activity at a time.
-    GateReplayResult result;
-    result.cyclesReplayed = cycles;
+    // --- Hand out one lane's result at a time.
+    util::Result<GateReplayResult> result{GateReplayResult()};
     for (unsigned k = 0; k < n; ++k) {
-        if (diverged[k])
-            continue;
-        result.load = loadAccounting(target, table,
-                                     lanes[which[k]].options.loader);
-        sim.toggleCounts(k, result.activity.netToggles);
-        result.activity.macroAccesses = sim.macroStats(k);
-        result.activity.cycles = sim.activityCycles();
-        clean[which[k]] = true;
+        GateReplayResult &r = *result;
+        r.cyclesReplayed = cycles;
+        r.outputMismatches = mismatches[k];
+        r.firstMismatch = std::move(firstMismatch[k]);
+        r.load = loadAccounting(target, table, lanes[which[k]].options.loader);
+        sim.toggleCounts(k, r.activity.netToggles);
+        r.activity.macroAccesses = sim.macroStats(k);
+        r.activity.cycles = sim.activityCycles();
         onLane(which[k], result);
     }
 }
 
+/** replayPass() on a fresh evaluator whose lane word is @p Lane. */
+template <typename Lane>
+void
+replayFresh(const GateProgram &program, const GateNetlist &nl,
+            const rtl::Design &target, const MatchTable &table,
+            const std::vector<ReplayLane> &lanes,
+            const std::vector<size_t> &which, const LaneResultFn &onLane)
+{
+    LaneSimulator<Lane> sim(nl, program, static_cast<unsigned>(which.size()));
+    replayPass(sim, target, table, lanes, which, /*borrow=*/true, onLane);
+}
+
 } // namespace
 
-std::vector<bool>
+util::Result<GateReplayResult>
+replayOnGate(GateSimulator &gsim, const rtl::Design &target,
+             const MatchTable &table, const fame::ReplayableSnapshot &snap,
+             const ReplayOptions &options)
+{
+    util::Status check =
+        checkLane(gsim.netlist(), target, table, snap, options);
+    if (!check.isOk())
+        return check;
+    LaneSimulator<uint8_t> &sim = gsim.lanes();
+    sim.reset();
+    std::optional<GateReplayResult> out;
+    // Copy the memories: the caller's simulator outlives this call, the
+    // snapshot need not.
+    replayPass(sim, target, table, {ReplayLane{&snap, options}}, {0},
+               /*borrow=*/false,
+               [&](size_t, util::Result<GateReplayResult> &r) {
+                   out = std::move(*r);
+               });
+    return std::move(*out);
+}
+
+void
 replayLanesOnGate(const GateProgram &program, const GateNetlist &nl,
                   const rtl::Design &target, const MatchTable &table,
                   const std::vector<ReplayLane> &lanes,
                   const LaneResultFn &onLane, unsigned maxLanes)
 {
-    std::vector<bool> clean(lanes.size(), false);
-    const unsigned maxLat = maxRetimeLatency(nl);
     maxLanes = std::clamp(maxLanes, 1u, 64u);
 
     // Lockstep needs one trace length per pass.
     std::map<size_t, std::vector<size_t>> byLength;
     for (size_t i = 0; i < lanes.size(); ++i) {
-        if (replaysCleanly(nl, target, table, lanes[i], maxLat))
+        util::Status check = checkLane(nl, target, table, *lanes[i].snap,
+                                       lanes[i].options);
+        if (check.isOk()) {
             byLength[lanes[i].snap->inputTrace.size()].push_back(i);
+        } else {
+            util::Result<GateReplayResult> failed(std::move(check));
+            onLane(i, failed);
+        }
     }
     for (const auto &[length, group] : byLength) {
         for (size_t first = 0; first < group.size(); first += maxLanes) {
@@ -368,20 +298,19 @@ replayLanesOnGate(const GateProgram &program, const GateNetlist &nl,
                 group.begin() + std::min(group.size(), first + maxLanes));
             // The narrowest lane word that holds the pass.
             if (which.size() <= 8)
-                replayPass<uint8_t>(program, nl, target, table, lanes, which,
-                                    maxLat, clean, onLane);
+                replayFresh<uint8_t>(program, nl, target, table, lanes,
+                                     which, onLane);
             else if (which.size() <= 16)
-                replayPass<uint16_t>(program, nl, target, table, lanes,
-                                     which, maxLat, clean, onLane);
+                replayFresh<uint16_t>(program, nl, target, table, lanes,
+                                      which, onLane);
             else if (which.size() <= 32)
-                replayPass<uint32_t>(program, nl, target, table, lanes,
-                                     which, maxLat, clean, onLane);
+                replayFresh<uint32_t>(program, nl, target, table, lanes,
+                                      which, onLane);
             else
-                replayPass<uint64_t>(program, nl, target, table, lanes,
-                                     which, maxLat, clean, onLane);
+                replayFresh<uint64_t>(program, nl, target, table, lanes,
+                                      which, onLane);
         }
     }
-    return clean;
 }
 
 } // namespace gate

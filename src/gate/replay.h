@@ -6,10 +6,13 @@
  * input tokens for L cycles while verifying every output token, and
  * collect the switching activity the power analysis consumes.
  *
- * Replay failures (geometry mismatches, load failures, watchdog
- * timeouts) are returned as util::Status values so a farm can
- * quarantine the one bad snapshot and keep going; output divergence is
- * reported as data in GateReplayResult and classified by the caller.
+ * One body does this for any number of snapshots: lanes of one
+ * LaneSimulator, a single replay being the one-lane case. Replay
+ * failures (geometry mismatches, load failures, watchdog timeouts) are
+ * decided up front by one check and returned as util::Status values so
+ * a farm can quarantine the one bad snapshot and keep going; output
+ * divergence is reported as data in GateReplayResult and classified by
+ * the caller.
  */
 
 #ifndef STROBER_GATE_REPLAY_H
@@ -68,28 +71,6 @@ struct ReplayOptions
     uint64_t injectedStallCycles = 0;
 };
 
-/**
- * Replay @p snap on @p gsim. The simulator is reset first; snapshots are
- * independent, so callers may reuse one simulator across replays (or use
- * several in parallel processes, as the paper does). On error the
- * simulator's state is unspecified, but the next replay's reset()
- * re-establishes a clean slate.
- */
-util::Result<GateReplayResult> replayOnGate(
-    GateSimulator &gsim, const rtl::Design &target, const MatchTable &table,
-    const fame::ReplayableSnapshot &snap, const ReplayOptions &options = {});
-
-/** Convenience overload keeping the historical loader-only signature. */
-inline util::Result<GateReplayResult>
-replayOnGate(GateSimulator &gsim, const rtl::Design &target,
-             const MatchTable &table, const fame::ReplayableSnapshot &snap,
-             LoaderKind loader)
-{
-    ReplayOptions options;
-    options.loader = loader;
-    return replayOnGate(gsim, target, table, snap, options);
-}
-
 /** One snapshot of a batched replay. */
 struct ReplayLane
 {
@@ -98,35 +79,54 @@ struct ReplayLane
 };
 
 /**
+ * The one definition of a failed replay: OK when @p snap replays on
+ * @p nl through its whole trace under @p options, else the error its
+ * replay returns. Every step's budget is known up front, so this
+ * simulates nothing (see DESIGN.md, "Batched gate replay", for the
+ * order of precedence).
+ */
+util::Status checkLane(const GateNetlist &nl, const rtl::Design &target,
+                       const MatchTable &table,
+                       const fame::ReplayableSnapshot &snap,
+                       const ReplayOptions &options);
+
+/**
+ * Replay @p snap on @p gsim: checkLane(), then the lane pass of
+ * replayLanesOnGate() on the simulator's one lane, after a reset.
+ * Snapshots are independent, so callers may reuse one simulator across
+ * replays. On error the simulator is untouched; after a replay it holds
+ * its own copy of the snapshot's memories.
+ */
+util::Result<GateReplayResult> replayOnGate(
+    GateSimulator &gsim, const rtl::Design &target, const MatchTable &table,
+    const fame::ReplayableSnapshot &snap, const ReplayOptions &options = {});
+
+/**
  * Snapshots one batched pass replays in lockstep at most: the lane width
  * measured fastest that keeps a replay worker's footprint small (see
  * DESIGN.md, "Batched gate replay").
  */
 constexpr unsigned kReplayLanes = 16;
 
-/** Called with each cleanly replayed lane's result; the result is only
- *  valid during the call. */
+/** Called once per lane with the result replayOnGate would return for
+ *  it alone. The result is only valid during the call; the callee may
+ *  move from it. */
 using LaneResultFn =
-    std::function<void(size_t lane, const GateReplayResult &result)>;
+    std::function<void(size_t lane, util::Result<GateReplayResult> &result)>;
 
 /**
- * Replay @p lanes on @p netlist (lowered as @p program) in lockstep
- * passes of up to @p maxLanes snapshots: warm-up through per-lane force
- * masks, per-lane state load, then the I/O trace with every lane's
- * output tokens checked. A lane replays cleanly when replayOnGate would
- * succeed on it with no output mismatch; @p onLane then receives exactly
- * the result replayOnGate would return, one lane at a time in lane
- * order. @return per lane, whether it replayed cleanly. Every other
- * lane (incomplete or mis-shaped snapshot, a budget it would exceed, a
- * divergence) is left to replayOnGate, which reproduces its outcome.
+ * Replay @p lanes on @p netlist (lowered as @p program). A lane that
+ * fails checkLane() is handed its error first. The rest replay in
+ * lockstep passes of up to @p maxLanes snapshots of one trace length:
+ * warm-up through per-lane force masks, per-lane state load, then the
+ * I/O trace with every lane's output mismatches counted. Every lane
+ * reaches @p onLane exactly once, a pass's lanes in lane order.
  */
-std::vector<bool> replayLanesOnGate(const GateProgram &program,
-                                    const GateNetlist &netlist,
-                                    const rtl::Design &target,
-                                    const MatchTable &table,
-                                    const std::vector<ReplayLane> &lanes,
-                                    const LaneResultFn &onLane,
-                                    unsigned maxLanes = kReplayLanes);
+void replayLanesOnGate(const GateProgram &program, const GateNetlist &netlist,
+                       const rtl::Design &target, const MatchTable &table,
+                       const std::vector<ReplayLane> &lanes,
+                       const LaneResultFn &onLane,
+                       unsigned maxLanes = kReplayLanes);
 
 } // namespace gate
 } // namespace strober

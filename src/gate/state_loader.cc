@@ -1,8 +1,5 @@
 #include "gate/state_loader.h"
 
-#include "util/bits.h"
-#include "util/logging.h"
-
 namespace strober {
 namespace gate {
 
@@ -26,7 +23,8 @@ loaderCommandRate(LoaderKind kind)
 }
 
 util::Status
-checkStateShape(const rtl::Design &target, const fame::StateSnapshot &state)
+checkLoad(const GateNetlist &nl, const rtl::Design &target,
+          const MatchTable &table, const fame::StateSnapshot &state)
 {
     using util::ErrorCode;
 
@@ -59,6 +57,48 @@ checkStateShape(const rtl::Design &target, const fame::StateSnapshot &state)
                                 mi, m.reads.size());
         }
     }
+
+    // The table is the design's, not the snapshot's: no snapshot can
+    // break it, but a broken one is still a failed load, not an exit.
+    if (table.regRetimed.size() != target.regs().size() ||
+        table.regToDff.size() != target.regs().size() ||
+        table.memToMacro.size() != target.mems().size()) {
+        return util::errorf(ErrorCode::LoadFailure,
+                            "match table does not cover the design");
+    }
+    for (size_t i = 0; i < target.regs().size(); ++i) {
+        if (table.regRetimed[i])
+            continue;
+        unsigned width = target.node(target.regs()[i].node).width;
+        const std::vector<NetId> &nets = table.regToDff[i];
+        if (nets.size() < width ||
+            !std::all_of(nets.begin(), nets.begin() + width, [&](NetId n) {
+                return n < nl.numNodes() && nl.node(n).type == CellType::Dff;
+            })) {
+            return util::errorf(ErrorCode::LoadFailure,
+                                "match table does not map register %zu "
+                                "onto flip-flops",
+                                i);
+        }
+    }
+    for (size_t mi = 0; mi < target.mems().size(); ++mi) {
+        const rtl::MemInfo &m = target.mems()[mi];
+        int macro = table.memToMacro[mi];
+        if (macro < 0 || static_cast<size_t>(macro) >= nl.macros().size()) {
+            return util::errorf(ErrorCode::LoadFailure,
+                                "match table maps memory %zu to macro %d, "
+                                "netlist has %zu macros",
+                                mi, macro, nl.macros().size());
+        }
+        const MacroMem &mm = nl.macros()[macro];
+        if (mm.depth != m.depth ||
+            (m.syncRead &&
+             (!mm.syncRead || mm.reads.size() < m.reads.size()))) {
+            return util::errorf(ErrorCode::LoadFailure,
+                                "memory %zu does not fit macro '%s'", mi,
+                                mm.name.c_str());
+        }
+    }
     return util::Status();
 }
 
@@ -89,32 +129,12 @@ loadState(GateSimulator &gsim, const rtl::Design &target,
           const MatchTable &table, const fame::StateSnapshot &state,
           LoaderKind kind)
 {
-    // Validate the snapshot state's shape against the design before
-    // touching the simulator: a mismatched snapshot must not half-load.
-    util::Status shape = checkStateShape(target, state);
-    if (!shape.isOk())
-        return shape;
-
-    for (size_t i = 0; i < target.regs().size(); ++i) {
-        if (table.regRetimed[i])
-            continue;
-        unsigned width = target.node(target.regs()[i].node).width;
-        uint64_t value = state.regValues[i];
-        const auto &nets = table.regToDff[i];
-        for (unsigned b = 0; b < width; ++b)
-            gsim.setDff(nets[b], bit(value, b));
-    }
-
-    for (size_t mi = 0; mi < target.mems().size(); ++mi) {
-        const rtl::MemInfo &m = target.mems()[mi];
-        size_t macro = static_cast<size_t>(table.memToMacro[mi]);
-        for (uint64_t a = 0; a < m.depth; ++a)
-            gsim.setMacroWord(macro, a, state.memContents[mi][a]);
-        if (m.syncRead) {
-            for (size_t p = 0; p < m.reads.size(); ++p)
-                gsim.setMacroReadData(macro, p, state.syncReadData[mi][p]);
-        }
-    }
+    // Validate before touching the simulator: a mismatched snapshot
+    // must not half-load.
+    util::Status st = checkLoad(gsim.netlist(), target, table, state);
+    if (!st.isOk())
+        return st;
+    writeLaneState(gsim.lanes(), 0, target, table, state, /*borrow=*/false);
     return loadAccounting(target, table, kind);
 }
 

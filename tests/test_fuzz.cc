@@ -206,10 +206,13 @@ TEST_P(Fuzz, EndToEndGateReplay)
 
     gate::GateProgram program(synth.netlist);
     size_t handed = 0;
-    std::vector<bool> clean = gate::replayLanesOnGate(
+    gate::replayLanesOnGate(
         program, synth.netlist, d, table, lanes,
-        [&](size_t k, const gate::GateReplayResult &r) {
+        [&](size_t k, util::Result<gate::GateReplayResult> &rk) {
             ++handed;
+            ASSERT_TRUE(rk.isOk()) << rk.status().toString();
+            const gate::GateReplayResult &r = *rk;
+            EXPECT_EQ(r.outputMismatches, 0u);
             EXPECT_EQ(r.cyclesReplayed, alone[k].cyclesReplayed);
             EXPECT_EQ(r.activity.cycles, alone[k].activity.cycles);
             EXPECT_EQ(r.activity.netToggles, alone[k].activity.netToggles)

@@ -464,14 +464,35 @@ cmdWorker(const FarmCliOptions &opts)
     return workerBody(soc, worker, 0, 1, shards);
 }
 
+/** Print the entry count of the run's result cache. */
+void
+printCacheStatus(const FarmCliOptions &opts)
+{
+    std::string cacheDir =
+        opts.cacheDir.empty() ? opts.dir + "/cache" : opts.cacheDir;
+    farm::ResultCache cache(cacheDir);
+    std::printf("cache '%s': %zu entr(ies)\n", cacheDir.c_str(),
+                cache.entryCount());
+}
+
 int
 cmdStatus(const FarmCliOptions &opts)
 {
     util::Result<farm::ShardManifest> head = farm::readManifestFile(
         opts.dir + "/" + farm::shardManifestName(0), false);
-    if (!head.isOk())
-        fatal("cannot read work queue in '%s': %s", opts.dir.c_str(),
-              head.status().toString().c_str());
+    if (!head.isOk()) {
+        // A streamed run plans its shards only after the fast sim; until
+        // then the feed's meta header names the run.
+        util::Result<farm::ShardManifest> meta = farm::readManifestFile(
+            farm::streamMetaPath(opts.dir), false);
+        if (!meta.isOk())
+            fatal("cannot read work queue in '%s': %s", opts.dir.c_str(),
+                  head.status().toString().c_str());
+        std::printf("%s / %s: fast sim running, results streaming\n",
+                    meta->coreName.c_str(), meta->workloadName.c_str());
+        printCacheStatus(opts);
+        return 0;
+    }
     farm::FarmOrchestrator::Progress p;
     for (uint32_t k = 0; k < head->shards; ++k) {
         util::Result<farm::ShardManifest> m = farm::readManifestFile(
@@ -499,11 +520,7 @@ cmdStatus(const FarmCliOptions &opts)
                 head->shards, (unsigned long long)p.done,
                 (unsigned long long)p.total,
                 (unsigned long long)p.quarantined);
-    std::string cacheDir =
-        opts.cacheDir.empty() ? opts.dir + "/cache" : opts.cacheDir;
-    farm::ResultCache cache(cacheDir);
-    std::printf("cache '%s': %zu entr(ies)\n", cacheDir.c_str(),
-                cache.entryCount());
+    printCacheStatus(opts);
     return 0;
 }
 
