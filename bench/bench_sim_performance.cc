@@ -13,9 +13,11 @@
  * full interpreted reference sweep, activity-driven change propagation,
  * the compiled backend that lowers the design to specialized C++, and
  * the compiled-parallel backend that adds chunk-granular activity
- * gating over a worker pool) on the same workloads: node evaluations per cycle, activity factor
- * and wall-clock speedup. The backends are observationally equivalent
- * (tests/test_differential.cc), so the only difference is the rate.
+ * gating) on the same workloads: node evaluations per cycle, activity
+ * factor and wall-clock speedup. The backends are observationally
+ * equivalent (tests/test_differential.cc), so the only difference is
+ * the rate. Every backend runs on one thread; like the pipeline rows,
+ * each row records host_cores.
  * JIT compilation happens at harness construction, outside the timed
  * region — the records measure steady-state simulation rate.
  */
@@ -167,10 +169,8 @@ backendContrast(const rtl::Design &soc, bench::JsonSink &json)
                 .num("evals_per_cycle", r.evalsPerCycle)
                 .num("commits_per_cycle", r.commitsPerCycle)
                 .num("activity", r.activity)
-                .num("threads",
-                     backend == sim::Backend::CompiledParallel
-                         ? static_cast<double>(sim::simThreads())
-                         : 1.0);
+                .num("host_cores", static_cast<double>(
+                                       std::thread::hardware_concurrency()));
         }
     }
 }

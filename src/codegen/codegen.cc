@@ -399,8 +399,9 @@ emitPartitionedSource(const rtl::Design &d, const rtl::EvalPlan &plan,
     // the later translation units. Each step stores its slot only when
     // the value changed, accumulating the consumer chunks' dirty bits
     // in locals; the accumulated words are published once at the end
-    // with relaxed atomic ORs (chunks of one level run concurrently;
-    // the level barrier orders the reads that follow).
+    // with relaxed atomic ORs into the caller's chunk bitmap, which
+    // sim::Simulator drains in ascending chunk id on one thread (every
+    // bit a chunk publishes belongs to a later level, so a higher id).
     ChunkUnits units;
     for (uint32_t c = 0; c < numChunks; ++c) {
         const std::string decl =

@@ -190,10 +190,14 @@ EnergySimulator::estimateStreaming(HostDriver &driver, uint64_t maxCycles,
     // before the clock starts.
     ReplayContext ctx = replayContext();
     // The queue bound covers the reservoir and an eviction frees its
-    // queued item first, so publishing never blocks the fast sim.
-    ReplayEngine engine(ctx, cfg.replayExecutor,
-                        std::max(1u, cfg.parallelReplays),
-                        cfg.sampleSize + 1);
+    // queued item first, so publishing never blocks the fast sim. The
+    // reservoir holds at most sampleSize snapshots, so workers beyond
+    // that would idle (like estimate()'s clamp to the snapshot count).
+    ReplayEngine engine(
+        ctx, cfg.replayExecutor,
+        static_cast<unsigned>(std::clamp<size_t>(
+            cfg.parallelReplays, 1, std::max<size_t>(cfg.sampleSize, 1))),
+        cfg.sampleSize + 1);
     snapSampler->setObserver(&engine);
 
     // Adaptive termination: the CI-bound rule over the completed

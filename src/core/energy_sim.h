@@ -190,9 +190,9 @@ class EnergySimulator
          *  tests/test_differential.cc); InterpretedActivity scales with
          *  per-cycle activity instead of design size, Compiled trades a
          *  one-time host-compiler invocation for the fastest sweeps,
-         *  and CompiledParallel adds chunk-granular activity gating
-         *  plus a worker pool (sim::setSimThreads / --sim-threads)
-         *  with results bit-identical to every other backend. */
+         *  and CompiledParallel gates the compiled code on activity at
+         *  chunk granularity, with results bit-identical to every
+         *  other backend. */
         sim::Backend backend = sim::Backend::InterpretedActivity;
         gate::LoaderKind loader = gate::LoaderKind::FastVpi;
         /** Host-service stall modeling: every @p hostServiceInterval

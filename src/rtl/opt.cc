@@ -525,7 +525,7 @@ partitionEvalPlan(const EvalPlan &plan, size_t numMems, uint32_t clusters,
     }
 
     // Merge consecutive ranks into levels of at least minLevelSteps
-    // steps, bounding the barriers per evaluation.
+    // steps, bounding the number of levels.
     std::vector<uint32_t> rankCount(maxRank + 1, 0);
     for (uint32_t i = 0; i < numSteps; ++i)
         ++rankCount[rank[i]];
@@ -547,7 +547,7 @@ partitionEvalPlan(const EvalPlan &plan, size_t numMems, uint32_t clusters,
         stepLevel[i] = rankLevel[rank[i]];
 
     // Within one level, steps connected by a dependency must share a
-    // cluster (chunks of a level run concurrently with no ordering).
+    // cluster (the chunks of one level assume no order among them).
     // Union-find over intra-level edges yields the components.
     std::vector<uint32_t> parent(numSteps);
     for (uint32_t i = 0; i < numSteps; ++i)
@@ -816,15 +816,16 @@ verifyPartition(const EvalPlan &plan, const EvalPartition &part,
             if (p != kNoStep) {
                 uint32_t pChunk = part.stepChunk[p];
                 if (pChunk != myChunk &&
-                    part.chunks[pChunk].level ==
+                    part.chunks[pChunk].level >=
                         part.chunks[myChunk].level) {
                     out.error(
                         "partition-level-race", kNoNode, "partition",
-                        strfmt("step %u (chunk %u) reads slot %u "
-                               "produced by step %u (chunk %u) in the "
-                               "same level %u",
-                               i, myChunk, slot, p, pChunk,
-                               part.chunks[myChunk].level));
+                        strfmt("step %u (chunk %u, level %u) reads slot "
+                               "%u produced by step %u (chunk %u) at "
+                               "level %u, not an earlier one",
+                               i, myChunk, part.chunks[myChunk].level,
+                               slot, p, pChunk,
+                               part.chunks[pChunk].level));
                 }
                 if (pChunk == myChunk)
                     return; // in-chunk edge: no dirty propagation needed

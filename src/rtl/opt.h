@@ -139,31 +139,31 @@ EvalPlan buildEvalPlan(const Design &design,
 // --- Partitioning pass (compiled-parallel backend) ---------------------
 //
 // The hot program is clustered into *chunks* — balanced groups of steps
-// evaluated as a unit — arranged into *levels* executed in order with a
-// barrier between them. All data dependencies between steps either stay
-// inside one chunk or cross a level boundary (never between two chunks
-// of the same level), so the chunks of one level can run on any number
-// of threads in any order and still produce exactly the full sweep's
-// values. Each chunk carries a dirty bit: a chunk is re-evaluated only
-// when one of its input slots changed — the chunk-granular
-// generalization of InterpretedActivity's per-step dirty bitmap that
-// the compiled-parallel backend's JIT'd chunk functions test and
-// propagate (src/codegen).
+// evaluated as a unit — arranged into *levels*. All data dependencies
+// between steps either stay inside one chunk or cross to a later level
+// (never between two chunks of the same level), and chunk ids are
+// level-major, so every cross-chunk edge points to a higher chunk id:
+// running the dirty chunks in ascending id order produces exactly the
+// full sweep's values. Each chunk carries a dirty bit: a chunk is
+// re-evaluated only when one of its input slots changed — the
+// chunk-granular generalization of InterpretedActivity's per-step dirty
+// bitmap that the compiled-parallel backend's JIT'd chunk functions
+// test and propagate (src/codegen).
 
-/** Target clusters (parallel chunks) per level. Fixed — NOT derived
- *  from the thread count — so the partition, the emitted code, and
- *  every evaluation counter are identical whatever --sim-threads is. */
+/** Target clusters (chunks) per level. A fixed constant, so the
+ *  partition, the emitted code and every evaluation counter are a pure
+ *  function of the plan. */
 constexpr uint32_t kDefaultPartitionClusters = 8;
 
 /** Minimum hot steps per level: consecutive topological ranks are
  *  merged until a level carries at least this much work, bounding the
- *  number of per-cycle barriers. */
+ *  number of levels. */
 constexpr uint32_t kDefaultPartitionGrain = 512;
 
 /** One cluster of hot-program steps evaluated as a unit. */
 struct EvalChunk
 {
-    uint32_t level = 0;           //!< executing level (barrier group)
+    uint32_t level = 0;           //!< level (same-level chunks are independent)
     std::vector<uint32_t> steps;  //!< hot-program indices, ascending
 };
 
@@ -211,9 +211,10 @@ partitionEvalPlan(const EvalPlan &plan, size_t numMems,
                   uint32_t minLevelSteps = kDefaultPartitionGrain);
 
 /**
- * Statically prove @p partition data-race-free for @p plan: any thread
- * assignment of one level's chunks produces exactly the full sweep's
- * values. Obligations checked (one lint rule id per violation class):
+ * Statically prove @p partition sound for @p plan: running the dirty
+ * chunks in ascending id order produces exactly the full sweep's
+ * values, and the chunks of one level are independent of each other.
+ * Obligations checked (one lint rule id per violation class):
  *
  *  - "partition-coverage": every hot-program step appears in exactly
  *    one chunk, chunk step lists are ascending, stepChunk agrees with
@@ -221,11 +222,13 @@ partitionEvalPlan(const EvalPlan &plan, size_t numMems,
  *  - "partition-geometry": chunks are level-major, levelBegin tiles
  *    them exactly, and every CSR index/chunk id is in range
  *    (slotChunksBegin spans plan.numSlots, memChunks spans numMems).
- *  - "partition-level-race": no step depends on a slot produced by a
- *    *different* chunk of the *same* level (such an edge would race
- *    under concurrent chunk execution).
+ *  - "partition-level-race": every step reading a slot produced by a
+ *    *different* chunk sits at a strictly *later* level than that
+ *    chunk, so every cross-chunk edge targets a higher chunk id (a
+ *    same-level or backward edge would read a value before it is
+ *    written).
  *  - "partition-double-writer": no two chunks of one level write the
- *    same slot (concurrent writers - the store order would matter).
+ *    same slot (the store order would matter).
  *  - "partition-dirty-closure": every cross-chunk consumer of a slot
  *    is listed in the slot's CSR entry, and every chunk with an async
  *    MemRead of memory m is listed in memChunks[m]; a missing edge

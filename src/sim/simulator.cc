@@ -248,10 +248,6 @@ Simulator::attachCompiledModule()
                   dsn.name().c_str(), module->chunks().size(),
                   partition.chunks.size());
         chunkDirty.assign(partition.dirtyWords(), 0);
-        unsigned threads = simThreads();
-        dispatchGrain = parallelDispatchGrain(threads);
-        if (threads > 1 && !partition.chunks.empty())
-            pool.reset(new WorkerPool(threads));
     }
 }
 
@@ -503,44 +499,25 @@ Simulator::evalCombParallel()
         return;
     }
 
-    // Drain dirty chunks level by level. All cross-chunk data edges
-    // point to a *later* level (intra-level dependencies are kept
-    // in-chunk by the partitioner), so the dirty chunks of one level
-    // are independent: they can run on any number of threads in any
-    // order, and a chunk's dirty marks always target levels not yet
-    // drained. That makes the executed set — and hence every value and
-    // counter — independent of thread scheduling.
+    // Drain the chunk bitmap in one ascending scan, like
+    // evalCombActivity. Chunk ids are level-major and every cross-chunk
+    // edge targets a later level (rtl::verifyPartition proves it), so a
+    // chunk only marks higher ids: a later bit of the current word,
+    // picked up because the word is re-read, or a later word. A chunk
+    // thus runs iff it is dirty once every earlier level has run.
     const auto &chunkFns = module->chunks();
     uint64_t *slotData = slots.data();
     uint64_t *const *memData = memPtrs.data();
     uint64_t *dirty = chunkDirty.data();
+    const uint32_t numWords = static_cast<uint32_t>(chunkDirty.size());
     uint64_t executed = 0;
-    for (uint32_t lvl = 0; lvl < partition.numLevels(); ++lvl) {
-        liveChunks.clear();
-        uint32_t steps = 0;
-        for (uint32_t c = partition.levelBegin[lvl];
-             c < partition.levelBegin[lvl + 1]; ++c) {
-            if ((chunkDirty[c >> 6] & (1ULL << (c & 63))) != 0) {
-                liveChunks.push_back(c);
-                steps += static_cast<uint32_t>(
-                    partition.chunks[c].steps.size());
-            }
-        }
-        if (liveChunks.empty())
-            continue;
-        for (uint32_t c : liveChunks)
-            chunkDirty[c >> 6] &= ~(1ULL << (c & 63));
-        executed += steps;
-        if (pool != nullptr && liveChunks.size() >= 2 &&
-            steps >= dispatchGrain) {
-            const std::vector<uint32_t> &live = liveChunks;
-            pool->run(static_cast<uint32_t>(live.size()),
-                      [&](uint32_t i) {
-                          chunkFns[live[i]](slotData, memData, dirty);
-                      });
-        } else {
-            for (uint32_t c : liveChunks)
-                chunkFns[c](slotData, memData, dirty);
+    for (uint32_t w = 0; w < numWords; ++w) {
+        while (dirty[w] != 0) {
+            uint32_t bit = static_cast<uint32_t>(__builtin_ctzll(dirty[w]));
+            dirty[w] &= dirty[w] - 1;
+            uint32_t c = (w << 6) | bit;
+            chunkFns[c](slotData, memData, dirty);
+            executed += partition.chunks[c].steps.size();
         }
     }
     evalCount += executed;

@@ -45,16 +45,15 @@
  *     shared object and dlopen()ed. When no compiler is available
  *     construction degrades to InterpretedFull with a warning — never
  *     an error.
- *   - CompiledParallel: the hot schedule partitioned into balanced,
- *     level-ordered chunks (rtl::partitionEvalPlan), each lowered to a
- *     JIT'd function that evaluates only when one of its input slots
- *     changed — the chunk-granular generalization of the activity
- *     bitmap. Dirty chunks of one level are independent and execute
- *     across a persistent worker pool (sim/worker_pool.h) with a
- *     barrier per level; cross-chunk dirty bits are published with
- *     atomic ORs, so results (and every counter) are bit-identical
- *     whatever the thread count or schedule. Degrades to
- *     InterpretedActivity when no compiler is available.
+ *   - CompiledParallel: the hot schedule partitioned into level-
+ *     ordered chunks (rtl::partitionEvalPlan), each lowered to a JIT'd
+ *     function that evaluates only when one of its input slots changed
+ *     — the chunk-granular generalization of the activity bitmap. The
+ *     chunk dirty bitmap is drained in one ascending scan on the
+ *     calling thread, exactly like the activity interpreter's step
+ *     bitmap: every cross-chunk edge targets a later level and chunk
+ *     ids are level-major, so a chunk only marks higher ids. Degrades
+ *     to InterpretedActivity when no compiler is available.
  *
  * All state access (peek of *any* node, scan-chain capture, snapshot
  * load, VCD) behaves identically across backends: optimized-away
@@ -73,7 +72,6 @@
 #include "codegen/jit.h"
 #include "rtl/ir.h"
 #include "rtl/opt.h"
-#include "sim/worker_pool.h"
 
 namespace strober {
 namespace sim {
@@ -83,7 +81,7 @@ enum class Backend : uint8_t {
     InterpretedFull,     //!< reference interpreter, full sweep
     InterpretedActivity, //!< interpreter, change propagation
     Compiled,            //!< JIT-compiled native code (dlopen)
-    CompiledParallel,    //!< JIT'd chunks, activity-gated, worker pool
+    CompiledParallel,    //!< JIT'd chunks, activity-gated
 };
 
 /** @return "full", "activity", "compiled" or "compiled-parallel"
@@ -160,8 +158,9 @@ class Simulator
     uint64_t nodeEvals() const { return evalCount; }
 
     /**
-     * Step evaluations skipped by InterpretedActivity sweeps (a full
-     * sweep would have executed them). Always 0 in the other backends.
+     * Step evaluations skipped by the activity-gated sweeps of
+     * InterpretedActivity and CompiledParallel (a full sweep would have
+     * executed them). Always 0 in the other backends.
      */
     uint64_t nodeEvalsSkipped() const { return skipCount; }
 
@@ -181,7 +180,7 @@ class Simulator
     /**
      * Fraction of scheduled step evaluations actually executed,
      * averaged over all sweeps so far: evals / (evals + skipped). 1.0
-     * outside InterpretedActivity (and before any sweep has run).
+     * outside the activity-gated backends (and before any sweep).
      */
     double activityFactor() const
     {
@@ -268,9 +267,6 @@ class Simulator
     // --- CompiledParallel machinery ------------------------------------
     rtl::EvalPartition partition;   //!< chunking of the hot program
     std::vector<uint64_t> chunkDirty; //!< bitmap over chunk ids
-    std::vector<uint32_t> liveChunks; //!< per-level scratch (no alloc)
-    std::unique_ptr<WorkerPool> pool;
-    uint32_t dispatchGrain = 0;     //!< min dirty steps to use the pool
 
     void buildTables();
     void attachCompiledModule();

@@ -9,8 +9,8 @@
  *
  * Parsing is deliberately strict: a signed value, garbage, trailing
  * junk or overflow never "mostly parses" — it falls back exactly like
- * an unset variable, so STROBER_SIM_THREADS=-1 can never wrap into 2^64
- * threads and a typo'd cap never silently disables supervision.
+ * an unset variable, so a "-1" can never wrap into 2^64 and a typo'd
+ * cap never silently disables supervision.
  */
 
 #ifndef STROBER_UTIL_ENV_H

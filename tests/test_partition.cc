@@ -5,26 +5,20 @@
  * correctness argument rests on:
  *   - every hot step is assigned to exactly one chunk, chunks are
  *     level-major and their step lists ascending;
- *   - no data dependency crosses chunks within one level (so the
- *     chunks of a level can run concurrently in any order);
+ *   - every cross-chunk data dependency points to a later level (so
+ *     running the dirty chunks in ascending id order is exact);
  *   - the dirty-propagation tables are closed: every cross-chunk
  *     consumer of a slot (and every chunk async-reading a memory) is
  *     listed, so a changed value can never fail to re-evaluate its
  *     consumers;
  *   - per-level chunk sizes respect the greedy balance bound;
  *   - the partition is a deterministic pure function of its inputs.
- * Plus the worker-pool thread-count resolution order
- * (setSimThreads > $STROBER_SIM_THREADS > hardware default) and the
- * pool's exactly-once task execution.
  */
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <functional>
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,7 +26,6 @@
 #include "cores/soc.h"
 #include "rtl/ir.h"
 #include "rtl/opt.h"
-#include "sim/worker_pool.h"
 
 #include "fuzz_designs.h"
 
@@ -412,6 +405,44 @@ TEST(VerifyPartition, SplitSameLevelDependencyRejected)
     EXPECT_TRUE(diags.hasRule("partition-level-race")) << diags.str();
 }
 
+// The ascending chunk drain relies on every cross-chunk edge pointing
+// to a later level. Moving a producer into the last level's chunk puts
+// it after a consumer at an earlier level: the consumer's chunk would
+// run first and read the stale value.
+TEST(VerifyPartition, BackwardCrossChunkEdgeRejected)
+{
+    MutationFixture fx;
+    std::vector<uint32_t> producer = producerMap(fx.plan);
+    const uint32_t last =
+        static_cast<uint32_t>(fx.part.chunks.size() - 1);
+    const uint32_t lastLevel = fx.part.chunks[last].level;
+    for (uint32_t i = 0; i < fx.plan.hotProgram.size(); ++i) {
+        uint32_t myChunk = fx.part.stepChunk[i];
+        if (fx.part.chunks[myChunk].level == lastLevel)
+            continue;
+        uint32_t moved = UINT32_MAX;
+        forEachOperand(fx.plan.hotProgram[i], [&](SlotId slot) {
+            uint32_t p = producer[slot];
+            if (moved == UINT32_MAX && p != UINT32_MAX &&
+                fx.part.stepChunk[p] != myChunk &&
+                fx.part.chunks[fx.part.stepChunk[p]].steps.size() >= 2)
+                moved = p;
+        });
+        if (moved == UINT32_MAX)
+            continue;
+        auto &src = fx.part.chunks[fx.part.stepChunk[moved]].steps;
+        src.erase(std::find(src.begin(), src.end(), moved));
+        auto &dst = fx.part.chunks[last].steps;
+        dst.insert(std::upper_bound(dst.begin(), dst.end(), moved), moved);
+        fx.part.stepChunk[moved] = last;
+        lint::Diagnostics diags =
+            rtl::verifyPartition(fx.plan, fx.part, fx.d.mems().size());
+        EXPECT_TRUE(diags.hasRule("partition-level-race")) << diags.str();
+        return;
+    }
+    FAIL() << "no cross-chunk edge below the last level";
+}
+
 TEST(VerifyPartition, MissingDirtyClosureEdgeRejected)
 {
     MutationFixture fx;
@@ -496,143 +527,6 @@ TEST(VerifyPartition, Boom2wRealPartitionProvesClean)
         rtl::verifyPartition(plan, part, d.mems().size());
     EXPECT_EQ(diags.errorCount(), 0u) << diags.str();
     EXPECT_GT(part.chunks.size(), 1u);
-}
-
-// --- Thread-count resolution and the worker pool -----------------------
-
-/** Scoped env var (nullptr = unset); restores the previous value on
- *  exit so a failing assertion can't leak state into later tests and
- *  an outer thread-matrix value survives the scope. */
-class EnvGuard
-{
-  public:
-    EnvGuard(const char *name, const char *value) : var(name)
-    {
-        const char *old = ::getenv(name);
-        hadValue = old != nullptr;
-        if (hadValue)
-            saved = old;
-        if (value != nullptr)
-            ::setenv(name, value, 1);
-        else
-            ::unsetenv(name);
-    }
-    ~EnvGuard()
-    {
-        if (hadValue)
-            ::setenv(var, saved.c_str(), 1);
-        else
-            ::unsetenv(var);
-    }
-
-  private:
-    const char *var;
-    std::string saved;
-    bool hadValue = false;
-};
-
-TEST(WorkerPool, ThreadCountResolutionOrder)
-{
-    sim::setSimThreads(0);
-    {
-        EnvGuard env("STROBER_SIM_THREADS", "5");
-        EXPECT_EQ(sim::simThreads(), 5u); // env wins over the default
-        sim::setSimThreads(3);
-        EXPECT_EQ(sim::simThreads(), 3u); // explicit override wins
-        sim::setSimThreads(0);
-        EXPECT_EQ(sim::simThreads(), 5u); // cleared: env again
-    }
-    EXPECT_GE(sim::simThreads(), 1u); // default: always at least one
-    sim::setSimThreads(0);
-}
-
-TEST(WorkerPool, NegativeEnvValuesFallBackToDefault)
-{
-    sim::setSimThreads(0);
-    {
-        // Baselines with the vars unset (an outer test matrix may have
-        // them exported); strtoul() would wrap "-1" to ULONG_MAX
-        // (clamped to 256 threads / a saturated grain), but negative
-        // input must be rejected like any other junk.
-        EnvGuard noThreads("STROBER_SIM_THREADS", nullptr);
-        unsigned defaultThreads = sim::simThreads();
-        EnvGuard env("STROBER_SIM_THREADS", "-1");
-        EXPECT_EQ(sim::simThreads(), defaultThreads);
-    }
-    {
-        EnvGuard noGrain("STROBER_SIM_PARALLEL_GRAIN", nullptr);
-        uint32_t defaultGrain = sim::parallelDispatchGrain();
-        EnvGuard env("STROBER_SIM_PARALLEL_GRAIN", "-1");
-        EXPECT_EQ(sim::parallelDispatchGrain(), defaultGrain);
-    }
-}
-
-TEST(WorkerPool, GrainEnvOverride)
-{
-    EnvGuard noGrain("STROBER_SIM_PARALLEL_GRAIN", nullptr);
-    EXPECT_GT(sim::parallelDispatchGrain(), 0u);
-    // A pool oversubscribing the host cores saturates the grain (inline
-    // evaluation — no parallel capacity to exploit)...
-    unsigned hw = std::thread::hardware_concurrency();
-    EXPECT_EQ(sim::parallelDispatchGrain((hw == 0 ? 1 : hw) + 1),
-              0xffffffffu);
-    // ...but the env override forces dispatch regardless.
-    EnvGuard env("STROBER_SIM_PARALLEL_GRAIN", "0");
-    EXPECT_EQ(sim::parallelDispatchGrain(), 0u);
-    EXPECT_EQ(sim::parallelDispatchGrain(1024), 0u);
-}
-
-TEST(WorkerPool, RunsEveryTaskExactlyOnce)
-{
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        sim::WorkerPool pool(threads);
-        EXPECT_EQ(pool.threads(), threads);
-        for (uint32_t count : {0u, 1u, 7u, 256u}) {
-            std::vector<std::atomic<uint32_t>> hits(count);
-            for (auto &h : hits)
-                h.store(0);
-            pool.run(count, [&](uint32_t i) {
-                hits[i].fetch_add(1, std::memory_order_relaxed);
-            });
-            for (uint32_t i = 0; i < count; ++i)
-                EXPECT_EQ(hits[i].load(), 1u)
-                    << "threads " << threads << " count " << count
-                    << " task " << i;
-        }
-        // Back-to-back batches must not leak work across generations.
-        std::atomic<uint64_t> sum{0};
-        for (int round = 0; round < 50; ++round)
-            pool.run(17, [&](uint32_t i) {
-                sum.fetch_add(i + 1, std::memory_order_relaxed);
-            });
-        EXPECT_EQ(sum.load(), 50u * (17u * 18u / 2u));
-    }
-}
-
-// Regression stress for the stale-ticket cross-batch race: a worker
-// preempted between its ticket load and taskCount load in a tiny batch
-// must not be able to claim an index of the next, larger batch (which
-// would double-execute the index and over-bump the completion counter,
-// hanging run()). Alternating 1-task and wide batches maximizes the
-// window; exactly-once is checked per round so any leak is caught in
-// the round it happens.
-TEST(WorkerPool, CrossBatchAlternatingCountsExactlyOnce)
-{
-    sim::WorkerPool pool(4);
-    constexpr uint32_t kWide = 192;
-    std::vector<std::atomic<uint32_t>> hits(kWide);
-    for (int round = 0; round < 400; ++round) {
-        uint32_t count = (round & 1) ? kWide : 1u;
-        for (uint32_t i = 0; i < count; ++i)
-            hits[i].store(0, std::memory_order_relaxed);
-        pool.run(count, [&](uint32_t i) {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-        });
-        for (uint32_t i = 0; i < count; ++i)
-            ASSERT_EQ(hits[i].load(), 1u)
-                << "round " << round << " count " << count << " task "
-                << i;
-    }
 }
 
 } // namespace

@@ -605,23 +605,26 @@ TEST_F(DaemonTest, AdmissionControlRejectsBeyondTheBound)
     ASSERT_TRUE(daemon.start().isOk());
 
     ServiceClient client(cfg.socketPath);
-    // One running + two queued = at the bound.
+    // One running + two queued = at the bound. The runner must pull the
+    // first job off the queue before the queue fills, or a submit the
+    // test expects to be accepted meets a full queue. The deadline is
+    // generous: under a loaded host the runner thread can take a while
+    // to wake.
     std::vector<uint64_t> ids;
     for (int i = 0; i < 3; ++i) {
         auto sub = client.submit(submitReq());
         ASSERT_TRUE(sub.isOk());
         ASSERT_TRUE(sub->accepted) << sub->refusal;
         ids.push_back(sub->jobId);
+        if (i != 0)
+            continue;
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (gate->running.load() == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ASSERT_EQ(gate->running.load(), 1);
     }
-    // Wait for the runner to pull one job off the queue, then fill the
-    // freed slot before testing the refusal. The deadline is generous:
-    // under a loaded host the runner thread can take a while to wake.
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (gate->running.load() == 0 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_EQ(gate->running.load(), 1);
     while (true) {
         auto sub = client.submit(submitReq());
         ASSERT_TRUE(sub.isOk());

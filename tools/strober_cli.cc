@@ -11,8 +11,6 @@
  *       [--backend B]                      #   fast-sim backend: full |
  *                                          #   activity (default) |
  *                                          #   compiled | compiled-parallel
- *       [--sim-threads N]                  #   threads for the
- *                                          #   compiled-parallel backend
  *       [--jobs N | -j N]                  #   parallel replay workers
  *       [--cache-dir DIR]                  #   persistent replay-result
  *                                          #   cache (src/farm); a warm
@@ -59,6 +57,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/energy_sim.h"
 #include "cores/soc.h"
 #include "cores/soc_driver.h"
@@ -486,7 +485,6 @@ usage()
                  "       strober run    <core> --stimulus <file.vcd>\n"
                  "                      [--backend full|activity|compiled\n"
                  "                                 |compiled-parallel]\n"
-                 "                      [--sim-threads N]\n"
                  "                      [--jobs N | -j N]\n"
                  "                      [--cache-dir DIR]\n"
                  "                      [--max-dropped-snapshots N]\n"
@@ -526,11 +524,12 @@ main(int argc, char **argv)
             std::string arg = argv[i];
             if (arg == "--max-dropped-snapshots" && i + 1 < argc) {
                 opts.maxDroppedSnapshots =
-                    static_cast<size_t>(std::stoull(argv[++i]));
+                    cli::unsignedArg<size_t>(arg.c_str(), argv[++i]);
             } else if (arg == "--replay-timeout" && i + 1 < argc) {
-                opts.replayTimeoutCycles = std::stoull(argv[++i]);
+                opts.replayTimeoutCycles =
+                    cli::unsignedArg<uint64_t>(arg.c_str(), argv[++i]);
             } else if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
-                opts.jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+                opts.jobs = cli::unsignedArg<unsigned>(arg.c_str(), argv[++i]);
             } else if (arg == "--cache-dir" && i + 1 < argc) {
                 opts.cacheDir = argv[++i];
             } else if (arg == "--stimulus" && i + 1 < argc) {
@@ -542,13 +541,7 @@ main(int argc, char **argv)
             } else if (arg == "--stream") {
                 opts.stream = true;
             } else if (arg == "--ci-bound" && i + 1 < argc) {
-                opts.ciBound = std::stod(argv[++i]);
-                if (!(opts.ciBound > 0)) {
-                    std::fprintf(stderr,
-                                 "--ci-bound needs a positive relative "
-                                 "half-width (e.g. 0.05)\n");
-                    return 2;
-                }
+                opts.ciBound = cli::positiveArg(arg.c_str(), argv[++i]);
             } else if (arg == "--backend" && i + 1 < argc) {
                 if (!sim::parseBackend(argv[++i], &opts.backend)) {
                     std::fprintf(stderr,
@@ -557,9 +550,6 @@ main(int argc, char **argv)
                                  argv[i]);
                     return 2;
                 }
-            } else if (arg == "--sim-threads" && i + 1 < argc) {
-                sim::setSimThreads(
-                    static_cast<unsigned>(std::stoul(argv[++i])));
             } else if (arg.rfind("--", 0) == 0) {
                 std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
                 usage();
@@ -606,11 +596,10 @@ main(int argc, char **argv)
     if (cmd == "synth" && (argc == 3 || argc == 4))
         return cmdSynth(argv[2], argc == 4 ? argv[3] : nullptr);
     if (cmd == "chase" && (argc == 4 || argc == 5)) {
-        return cmdChase(argv[2],
-                        static_cast<uint32_t>(std::stoul(argv[3])),
-                        argc == 5 ? static_cast<unsigned>(
-                                        std::stoul(argv[4]))
-                                  : 100);
+        return cmdChase(
+            argv[2], cli::unsignedArg<uint32_t>("<KiB>", argv[3]),
+            argc == 5 ? cli::unsignedArg<unsigned>("[dram-latency]", argv[4])
+                      : 100);
     }
     if (cmd == "asm" && argc == 3)
         return cmdAsm(argv[2]);

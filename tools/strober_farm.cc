@@ -38,7 +38,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,6 +45,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "cli_args.h"
 #include "core/energy_sim.h"
 #include "core/job_control.h"
 #include "cores/soc.h"
@@ -694,7 +694,6 @@ usage()
         "                    [--replay-timeout CYCLES]\n"
         "                    [--backend full|activity|compiled\n"
         "                               |compiled-parallel]\n"
-        "                    [--sim-threads N]\n"
         "                    [--stream] [--ci-bound X]\n"
         "       strober-farm worker --dir D [--shard K] [--stream]\n"
         "                    [--slot I --slots N] [--deadline-unix-ms T]\n"
@@ -715,25 +714,16 @@ usage()
         "       strober-farm shutdown --socket S\n");
 }
 
-uint64_t
-durationArg(const char *flag, const std::string &text)
-{
-    std::optional<uint64_t> ms = util::parseDurationMs(text);
-    if (!ms.has_value())
-        fatal("%s: '%s' is not a duration (try 250ms, 30s, 5m, 1h)",
-              flag, text.c_str());
-    return *ms;
-}
-
 bool
 parseCommon(const std::vector<std::string> &args, FarmCliOptions &opts,
             std::vector<std::string> &positional)
 {
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        const char *flag = arg.c_str();
         auto next = [&]() -> const std::string & {
             if (i + 1 >= args.size())
-                fatal("flag '%s' needs a value", arg.c_str());
+                fatal("flag '%s' needs a value", flag);
             return args[++i];
         };
         if (arg == "--dir") {
@@ -745,58 +735,52 @@ parseCommon(const std::vector<std::string> &args, FarmCliOptions &opts,
         } else if (arg == "--stimulus") {
             opts.stimulus = next();
         } else if (arg == "-j" || arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(std::stoul(next()));
+            opts.jobs = cli::unsignedArg<unsigned>(flag, next());
         } else if (arg == "--shards") {
-            opts.shards = static_cast<unsigned>(std::stoul(next()));
+            opts.shards = cli::unsignedArg<unsigned>(flag, next());
         } else if (arg == "--shard") {
-            opts.shard = static_cast<unsigned>(std::stoul(next()));
+            opts.shard = cli::unsignedArg<unsigned>(flag, next());
             opts.haveShard = true;
         } else if (arg == "--slot") {
-            opts.slot = static_cast<unsigned>(std::stoul(next()));
+            opts.slot = cli::unsignedArg<unsigned>(flag, next());
         } else if (arg == "--slots") {
-            opts.slots = static_cast<unsigned>(std::stoul(next()));
+            opts.slots = cli::unsignedArg<unsigned>(flag, next());
         } else if (arg == "--deadline-unix-ms") {
-            opts.deadlineUnixMs = std::stoull(next());
+            opts.deadlineUnixMs = cli::unsignedArg<uint64_t>(flag, next());
         } else if (arg == "--keep") {
-            opts.keep = static_cast<size_t>(std::stoull(next()));
+            opts.keep = cli::unsignedArg<size_t>(flag, next());
             opts.haveKeep = true;
         } else if (arg == "--max-age") {
-            opts.gcMaxAgeSec = durationArg("--max-age", next()) / 1000;
+            opts.gcMaxAgeSec = cli::durationArg(flag, next()) / 1000;
         } else if (arg == "--max-bytes") {
-            opts.gcMaxBytes = std::stoull(next());
+            opts.gcMaxBytes = cli::unsignedArg<uint64_t>(flag, next());
         } else if (arg == "--socket") {
             opts.socketPath = next();
         } else if (arg == "--job") {
-            opts.jobId = std::stoull(next());
+            opts.jobId = cli::unsignedArg<uint64_t>(flag, next());
             opts.haveJob = true;
         } else if (arg == "--timeout") {
-            opts.timeoutMs = durationArg("--timeout", next());
+            opts.timeoutMs = cli::durationArg(flag, next());
         } else if (arg == "--deadline") {
-            opts.deadlineMs = durationArg("--deadline", next());
+            opts.deadlineMs = cli::durationArg(flag, next());
         } else if (arg == "--workers") {
-            opts.serveWorkers = static_cast<unsigned>(std::stoul(next()));
+            opts.serveWorkers = cli::unsignedArg<unsigned>(flag, next());
         } else if (arg == "--wait") {
             opts.waitAfterSubmit = true;
         } else if (arg == "--stream") {
             opts.stream = true;
         } else if (arg == "--ci-bound") {
-            opts.ciBound = std::stod(next());
-            if (!(opts.ciBound > 0)) {
-                std::fprintf(stderr,
-                             "--ci-bound must be a positive relative "
-                             "error (e.g. 0.05)\n");
-                return false;
-            }
+            opts.ciBound = cli::positiveArg(flag, next());
         } else if (arg == "--sample-size") {
-            opts.sim.sampleSize = static_cast<size_t>(std::stoull(next()));
+            opts.sim.sampleSize = cli::unsignedArg<size_t>(flag, next());
         } else if (arg == "--replay-length") {
-            opts.sim.replayLength =
-                static_cast<unsigned>(std::stoul(next()));
+            opts.sim.replayLength = cli::unsignedArg<unsigned>(flag, next());
         } else if (arg == "--max-dropped-snapshots") {
             opts.sim.maxDroppedSnapshots =
-                static_cast<size_t>(std::stoull(next()));
+                cli::unsignedArg<size_t>(flag, next());
         } else if (arg == "--replay-timeout") {
-            opts.sim.replayTimeoutCycles = std::stoull(next());
+            opts.sim.replayTimeoutCycles =
+                cli::unsignedArg<uint64_t>(flag, next());
         } else if (arg == "--backend") {
             const std::string &name = next();
             if (!sim::parseBackend(name, &opts.sim.backend)) {
@@ -806,8 +790,6 @@ parseCommon(const std::vector<std::string> &args, FarmCliOptions &opts,
                              name.c_str());
                 return false;
             }
-        } else if (arg == "--sim-threads") {
-            sim::setSimThreads(static_cast<unsigned>(std::stoul(next())));
         } else if (arg.rfind("--", 0) == 0 || arg.rfind("-", 0) == 0) {
             std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
             return false;

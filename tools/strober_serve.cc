@@ -25,7 +25,6 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +32,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include "cli_args.h"
 #include "core/energy_sim.h"
 #include "core/job_control.h"
 #include "cores/soc.h"
@@ -454,26 +454,6 @@ usage()
         "                     [--trim-max-bytes B] [--farm-bin PATH]\n");
 }
 
-uint64_t
-parseDurationArg(const char *flag, const std::string &text)
-{
-    std::optional<uint64_t> ms = util::parseDurationMs(text);
-    if (!ms.has_value())
-        fatal("%s: '%s' is not a duration (try 250ms, 30s, 5m, 1h)",
-              flag, text.c_str());
-    return *ms;
-}
-
-unsigned long
-parseCountArg(const char *flag, const std::string &text)
-{
-    std::optional<unsigned long> n = util::parseULong(text);
-    if (!n.has_value())
-        fatal("%s: '%s' is not a non-negative integer", flag,
-              text.c_str());
-    return *n;
-}
-
 } // namespace
 
 int
@@ -484,9 +464,10 @@ main(int argc, char **argv)
     std::vector<std::string> args(argv + 1, argv + argc);
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
+        const char *flag = arg.c_str();
         auto next = [&]() -> const std::string & {
             if (i + 1 >= args.size())
-                fatal("flag '%s' needs a value", arg.c_str());
+                fatal("flag '%s' needs a value", flag);
             return args[++i];
         };
         if (arg == "--socket") {
@@ -496,35 +477,27 @@ main(int argc, char **argv)
         } else if (arg == "--cache-dir") {
             dcfg.cacheDir = next();
         } else if (arg == "--runners") {
-            dcfg.runners =
-                static_cast<unsigned>(parseCountArg("--runners", next()));
+            dcfg.runners = cli::unsignedArg<unsigned>(flag, next());
         } else if (arg == "--max-queue") {
-            dcfg.maxQueue = parseCountArg("--max-queue", next());
+            dcfg.maxQueue = cli::unsignedArg<size_t>(flag, next());
         } else if (arg == "--default-deadline") {
-            dcfg.defaultDeadlineMs =
-                parseDurationArg("--default-deadline", next());
+            dcfg.defaultDeadlineMs = cli::durationArg(flag, next());
         } else if (arg == "--workers") {
-            opts.defaultWorkers =
-                static_cast<unsigned>(parseCountArg("--workers", next()));
+            opts.defaultWorkers = cli::unsignedArg<unsigned>(flag, next());
         } else if (arg == "--worker-wall-cap") {
-            opts.workerWallCapMs =
-                parseDurationArg("--worker-wall-cap", next());
+            opts.workerWallCapMs = cli::durationArg(flag, next());
         } else if (arg == "--worker-rss-mb") {
-            opts.workerRssMb = parseCountArg("--worker-rss-mb", next());
+            opts.workerRssMb = cli::unsignedArg<unsigned long>(flag, next());
         } else if (arg == "--worker-retries") {
-            opts.workerRetries = static_cast<unsigned>(
-                parseCountArg("--worker-retries", next()));
+            opts.workerRetries = cli::unsignedArg<unsigned>(flag, next());
         } else if (arg == "--lease-duration") {
-            opts.leaseDurationMs =
-                parseDurationArg("--lease-duration", next());
+            opts.leaseDurationMs = cli::durationArg(flag, next());
         } else if (arg == "--trim-keep") {
-            dcfg.trim.keepCount = parseCountArg("--trim-keep", next());
+            dcfg.trim.keepCount = cli::unsignedArg<size_t>(flag, next());
         } else if (arg == "--trim-max-age") {
-            dcfg.trim.maxAgeSeconds =
-                parseDurationArg("--trim-max-age", next()) / 1000;
+            dcfg.trim.maxAgeSeconds = cli::durationArg(flag, next()) / 1000;
         } else if (arg == "--trim-max-bytes") {
-            dcfg.trim.maxTotalBytes =
-                parseCountArg("--trim-max-bytes", next());
+            dcfg.trim.maxTotalBytes = cli::unsignedArg<uint64_t>(flag, next());
         } else if (arg == "--farm-bin") {
             opts.farmBin = next();
         } else {
