@@ -69,9 +69,6 @@ class GateSimulator
     uint64_t activityCycles() const { return sim.activityCycles(); }
     void clearActivity() { sim.clearActivity(); }
 
-    /** Gate evaluations executed (simulation-rate reporting). */
-    uint64_t gateEvals() const { return sim.gateEvals(); }
-
     /** Collect per-net time-at-1 (SAIF T0/T1); costs ~one pass/cycle. */
     void enableDutyTracking() { sim.enableDutyTracking(); }
     /** Cycles each net spent at 1 since clearActivity (empty unless

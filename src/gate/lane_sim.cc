@@ -239,41 +239,13 @@ template <bool Forced>
 void
 LaneSimulator<Lane>::evalPass()
 {
-    Lane *v = values.data();
+    const Lane *v = values.data();
     for (const LoweredGate &g : prog.gates) {
-        Lane r = 0;
-        switch (g.op) {
-          case GateOp::Buf:
-            r = v[g.in0];
-            break;
-          case GateOp::Inv:
-            r = inv(v[g.in0]);
-            break;
-          case GateOp::And2:
-            r = v[g.in0] & v[g.in1];
-            break;
-          case GateOp::Or2:
-            r = v[g.in0] | v[g.in1];
-            break;
-          case GateOp::Nand2:
-            r = inv<Lane>(v[g.in0] & v[g.in1]);
-            break;
-          case GateOp::Nor2:
-            r = inv<Lane>(v[g.in0] | v[g.in1]);
-            break;
-          case GateOp::Xor2:
-            r = v[g.in0] ^ v[g.in1];
-            break;
-          case GateOp::Xnor2:
-            r = inv<Lane>(v[g.in0] ^ v[g.in1]);
-            break;
-          case GateOp::Mux2:
-            r = (v[g.in0] & v[g.in1]) | (inv(v[g.in0]) & v[g.in2]);
-            break;
-          case GateOp::AsyncRead:
+        if (g.op == GateOp::AsyncRead) {
             evalAsyncRead<Forced>(prog.asyncReads[g.in0]);
             continue;
         }
+        Lane r = evalOp(g, v);
         if (Forced) {
             r = (r & inv(forceMask[g.out])) |
                 (forceValue[g.out] & forceMask[g.out]);
@@ -299,7 +271,6 @@ LaneSimulator<Lane>::evalComb()
         }
         evalPass<true>();
     }
-    evalCount += prog.netEvals;
     combStale = false;
 }
 

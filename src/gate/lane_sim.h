@@ -75,9 +75,6 @@ class LaneSimulator
     /** Bumped whenever any toggle count may have changed. */
     uint64_t activityVersion() const { return version; }
 
-    /** Nets evaluated so far (all lanes advance together). */
-    uint64_t gateEvals() const { return evalCount; }
-
     /** Collect lane 0's per-net time-at-1 (SAIF T0/T1). */
     void enableDutyTracking() { dutyTracking = true; }
     const std::vector<uint64_t> &highCycles() const { return highTime; }
@@ -100,6 +97,16 @@ class LaneSimulator
     /** Set the registered read data of a sync macro port. */
     void setMacroReadData(size_t macroIdx, size_t port, unsigned lane,
                           uint64_t value);
+
+    /** Take @p settled as every net's value instead of evaluating: the
+     *  event-driven TimedGateSimulator settles the combinational nets
+     *  itself. Its sources must equal this simulator's. */
+    void
+    adoptValues(const std::vector<Lane> &settled)
+    {
+        values = settled;
+        combStale = false;
+    }
 
     // --- Forcing (retiming warm-up) ---------------------------------------
     /** Override a net's value in one lane until released. */
@@ -144,7 +151,6 @@ class LaneSimulator
 
     uint64_t cycleCount = 0;
     uint64_t activityStart = 0;
-    uint64_t evalCount = 0;
     bool combStale = true;
 
     template <bool Forced>

@@ -39,25 +39,32 @@ forEachDep(const GateNetlist &nl, NetId id, Visit &&visit)
     }
 }
 
+/** The cell each op lowers, indexed by GateOp. */
+constexpr CellType kOpCells[kGateOps] = {
+    CellType::Buf,   CellType::Inv,   CellType::And2,
+    CellType::Or2,   CellType::Nand2, CellType::Nor2,
+    CellType::Xor2,  CellType::Xnor2, CellType::Mux2,
+    CellType::MacroOut,
+};
+
+/** The op of a logic cell (MacroOut lowers to its port's AsyncRead). */
 GateOp
 opFor(CellType type)
 {
-    switch (type) {
-      case CellType::Buf: return GateOp::Buf;
-      case CellType::Inv: return GateOp::Inv;
-      case CellType::And2: return GateOp::And2;
-      case CellType::Or2: return GateOp::Or2;
-      case CellType::Nand2: return GateOp::Nand2;
-      case CellType::Nor2: return GateOp::Nor2;
-      case CellType::Xor2: return GateOp::Xor2;
-      case CellType::Xnor2: return GateOp::Xnor2;
-      case CellType::Mux2: return GateOp::Mux2;
-      default: panic("cell type %u is not combinational",
-                     static_cast<unsigned>(type));
+    for (size_t i = 0; i < static_cast<size_t>(GateOp::AsyncRead); ++i) {
+        if (kOpCells[i] == type)
+            return static_cast<GateOp>(i);
     }
+    panic("cell type %u is not combinational", static_cast<unsigned>(type));
 }
 
 } // namespace
+
+CellType
+cellTypeOf(GateOp op)
+{
+    return kOpCells[static_cast<size_t>(op)];
+}
 
 GateProgram::GateProgram(const GateNetlist &nl)
 {
@@ -81,7 +88,6 @@ GateProgram::GateProgram(const GateNetlist &nl)
             }
             if (port.bits.empty())
                 continue;
-            netEvals += port.bits.size();
             portIndex[mi][p] = static_cast<int32_t>(asyncReads.size());
             asyncReads.push_back(std::move(port));
         }
@@ -133,7 +139,6 @@ GateProgram::GateProgram(const GateNetlist &nl)
                        g.type != CellType::Dff) {
                 gates.push_back(
                     LoweredGate{opFor(g.type), id, g.in[0], g.in[1], g.in[2]});
-                ++netEvals;
             }
         }
         for (uint32_t u = userStart[id]; u < userStart[id + 1]; ++u) {

@@ -13,6 +13,7 @@
 #ifndef STROBER_GATE_PROGRAM_H
 #define STROBER_GATE_PROGRAM_H
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -35,6 +36,11 @@ enum class GateOp : uint8_t {
     AsyncRead, //!< in0 indexes GateProgram::asyncReads; out unused
 };
 
+constexpr size_t kGateOps = static_cast<size_t>(GateOp::AsyncRead) + 1;
+
+/** The cell an op lowers (AsyncRead: a macro read data bit). */
+CellType cellTypeOf(GateOp op);
+
 /** One op of the lowered program. */
 struct LoweredGate
 {
@@ -42,6 +48,30 @@ struct LoweredGate
     NetId out;
     NetId in0, in1, in2;
 };
+
+/** The value of op @p g over net values @p v (bit k of a Lane word is
+ *  lane k): with the lowering, the one definition of a gate's function.
+ *  AsyncRead reads a macro, which only the evaluator holds: 0 here. */
+template <typename Lane>
+[[gnu::always_inline]] inline Lane
+evalOp(const LoweredGate &g, const Lane *v)
+{
+    switch (g.op) {
+      case GateOp::Buf: return v[g.in0];
+      case GateOp::Inv: return static_cast<Lane>(~v[g.in0]);
+      case GateOp::And2: return v[g.in0] & v[g.in1];
+      case GateOp::Or2: return v[g.in0] | v[g.in1];
+      case GateOp::Nand2: return static_cast<Lane>(~(v[g.in0] & v[g.in1]));
+      case GateOp::Nor2: return static_cast<Lane>(~(v[g.in0] | v[g.in1]));
+      case GateOp::Xor2: return v[g.in0] ^ v[g.in1];
+      case GateOp::Xnor2: return static_cast<Lane>(~(v[g.in0] ^ v[g.in1]));
+      case GateOp::Mux2:
+        return (v[g.in0] & v[g.in1]) |
+               (static_cast<Lane>(~v[g.in0]) & v[g.in2]);
+      case GateOp::AsyncRead: break;
+    }
+    return 0;
+}
 
 /** An async SRAM read port: the live data bits it drives. */
 struct AsyncReadPort
@@ -58,8 +88,6 @@ struct GateProgram
 
     std::vector<LoweredGate> gates; //!< topological order
     std::vector<AsyncReadPort> asyncReads;
-    /** Nets one evaluation pass computes (gate-eval rate reporting). */
-    uint64_t netEvals = 0;
     /** D input of every flip-flop, in GateNetlist::dffs() order. */
     std::vector<NetId> dffD;
     /** Reset contents of every macro: its init words, zero-padded to

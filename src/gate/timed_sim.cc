@@ -3,59 +3,53 @@
 #include <algorithm>
 #include <queue>
 
-#include "util/bits.h"
-#include "util/logging.h"
-
 namespace strober {
 namespace gate {
 
-namespace {
-
-/** Integer propagation delay in picoseconds for queue ordering. */
-uint32_t
-delayPsOf(CellType type)
-{
-    return static_cast<uint32_t>(cellSpec(type).delayPs);
-}
-
-constexpr uint32_t kMacroReadDelayPs = 250;
-
-} // namespace
-
 TimedGateSimulator::TimedGateSimulator(const GateNetlist &netlist)
-    : nl(netlist)
+    : nl(netlist), prog(netlist), state(netlist, prog, 1)
 {
-    fanout.resize(nl.numNodes());
-    for (NetId id = 0; id < nl.numNodes(); ++id) {
-        const GateNode &g = nl.node(id);
-        if (g.dead)
-            continue;
-        switch (g.type) {
-          case CellType::PrimaryInput:
-          case CellType::Tie0:
-          case CellType::Tie1:
-          case CellType::Dff:
-          case CellType::MacroOut:
-            break;
-          default:
-            for (NetId in : g.in) {
-                if (in != kNoNet)
-                    fanout[in].push_back(id);
-            }
-            break;
-        }
+    for (size_t op = 0; op < kGateOps; ++op) {
+        delayPs[op] = static_cast<uint32_t>(
+            cellSpec(cellTypeOf(static_cast<GateOp>(op))).delayPs);
     }
-    // Async macro read data depends on its port's address nets.
-    for (size_t mi = 0; mi < nl.macros().size(); ++mi) {
-        const MacroMem &m = nl.macros()[mi];
-        if (m.syncRead)
-            continue;
-        for (const auto &port : m.reads) {
-            for (NetId a : port.addr) {
-                for (NetId dataNet : port.data)
-                    fanout[a].push_back(dataNet);
+    delayPs[static_cast<size_t>(GateOp::AsyncRead)] = 250; // SRAM access
+
+    // The fanout of a net is the ops that read it; an async read port
+    // reads its address.
+    std::vector<std::pair<NetId, uint32_t>> reads;
+    drivers.resize(nl.numNodes());
+    for (uint32_t op = 0; op < prog.gates.size(); ++op) {
+        const LoweredGate &g = prog.gates[op];
+        if (g.op != GateOp::AsyncRead) {
+            for (NetId in : {g.in0, g.in1, g.in2}) {
+                if (in != kNoNet)
+                    reads.emplace_back(in, op);
             }
+            drivers[g.out] = Driver{op, 0};
+            continue;
         }
+        const AsyncReadPort &port = prog.asyncReads[g.in0];
+        for (NetId a : nl.macros()[port.macro].reads[port.port].addr)
+            reads.emplace_back(a, op);
+        for (const auto &[bit, net] : port.bits)
+            drivers[net] = Driver{op, bit};
+    }
+    std::sort(reads.begin(), reads.end());
+    fanoutStart.assign(nl.numNodes() + 1, 0);
+    for (const auto &[net, op] : reads) {
+        ++fanoutStart[net + 1];
+        fanoutOps.push_back(op);
+    }
+    for (size_t i = 0; i < nl.numNodes(); ++i)
+        fanoutStart[i + 1] += fanoutStart[i];
+
+    edgeNets = nl.dffs();
+    for (const MacroMem &m : nl.macros()) {
+        if (!m.syncRead)
+            continue;
+        for (const MacroMem::ReadPort &port : m.reads)
+            edgeNets.insert(edgeNets.end(), port.data.begin(), port.data.end());
     }
     reset();
 }
@@ -63,52 +57,34 @@ TimedGateSimulator::TimedGateSimulator(const GateNetlist &netlist)
 void
 TimedGateSimulator::reset()
 {
-    values.assign(nl.numNodes(), 0);
+    // The shadow starts from the state simulator's settled reset.
+    state.reset();
+    shadow.resize(nl.numNodes());
+    for (NetId id = 0; id < nl.numNodes(); ++id)
+        shadow[id] = state.netValue(id, 0);
     toggles.assign(nl.numNodes(), 0);
-    dirty.assign(nl.numNodes(), 0);
-    for (NetId id = 0; id < nl.numNodes(); ++id) {
-        const GateNode &g = nl.node(id);
-        if (g.type == CellType::Tie1)
-            values[id] = 1;
-        else if (g.type == CellType::Dff)
-            values[id] = g.init;
-    }
-    macroContents.clear();
-    syncReadPending.clear();
-    for (const MacroMem &m : nl.macros()) {
-        macroContents.emplace_back(m.depth, 0);
-        for (size_t i = 0; i < m.init.size(); ++i)
-            macroContents.back()[i] = m.init[i];
-        syncReadPending.emplace_back(m.reads.size() * m.width, 0);
-    }
-    macroAcc.assign(nl.macros().size(), MacroStats{});
-    dffPending.assign(nl.numNodes(), 0);
-    cycleCount = 0;
-    activityStart = 0;
-    eventCount = 0;
     pendingSources.clear();
-    // Settle the reset state once (without counting its activity).
-    for (NetId id = 0; id < nl.numNodes(); ++id) {
-        if (!nl.node(id).dead)
-            pendingSources.push_back(id);
-    }
-    settle();
-    clearActivity();
+    eventCount = 0;
+    settled = true;
+}
+
+bool
+TimedGateSimulator::setSource(NetId net, uint8_t v)
+{
+    if (shadow[net] == v)
+        return false;
+    shadow[net] = v;
+    pendingSources.push_back(net);
+    settled = false;
+    return true;
 }
 
 void
 TimedGateSimulator::pokePort(size_t idx, uint64_t value)
 {
-    const BitPort &p = nl.inputs().at(idx);
-    for (size_t b = 0; b < p.bits.size(); ++b) {
-        uint8_t v = (value >> b) & 1;
-        if (values[p.bits[b]] != v) {
-            values[p.bits[b]] = v;
-            ++toggles[p.bits[b]];
-            pendingSources.push_back(p.bits[b]);
-            settled = false;
-        }
-    }
+    state.pokePort(idx, &value);
+    for (NetId net : nl.inputs()[idx].bits)
+        setSource(net, state.netValue(net, 0));
 }
 
 uint64_t
@@ -116,64 +92,38 @@ TimedGateSimulator::busValue(const std::vector<NetId> &bits) const
 {
     uint64_t v = 0;
     for (size_t b = 0; b < bits.size(); ++b)
-        v |= static_cast<uint64_t>(values[bits[b]] & 1) << b;
+        v |= static_cast<uint64_t>(shadow[bits[b]] & 1) << b;
     return v;
 }
 
-uint8_t
-TimedGateSimulator::evalGate(NetId id) const
+uint64_t
+TimedGateSimulator::readWord(const AsyncReadPort &port) const
 {
-    const GateNode &g = nl.node(id);
-    switch (g.type) {
-      case CellType::Buf:
-        return values[g.in[0]];
-      case CellType::Inv:
-        return values[g.in[0]] ^ 1;
-      case CellType::And2:
-        return values[g.in[0]] & values[g.in[1]];
-      case CellType::Or2:
-        return values[g.in[0]] | values[g.in[1]];
-      case CellType::Nand2:
-        return (values[g.in[0]] & values[g.in[1]]) ^ 1;
-      case CellType::Nor2:
-        return (values[g.in[0]] | values[g.in[1]]) ^ 1;
-      case CellType::Xor2:
-        return values[g.in[0]] ^ values[g.in[1]];
-      case CellType::Xnor2:
-        return values[g.in[0]] ^ values[g.in[1]] ^ 1;
-      case CellType::Mux2:
-        return values[g.in[0]] ? values[g.in[1]] : values[g.in[2]];
-      case CellType::MacroOut: {
-        uint32_t mi = g.aux >> 16;
-        uint32_t port = (g.aux >> 8) & 0xff;
-        uint32_t bitIdx = g.aux & 0xff;
-        const MacroMem &m = nl.macros()[mi];
-        uint64_t addr = busValue(m.reads[port].addr);
-        uint64_t word = addr < m.depth ? macroContents[mi][addr] : 0;
-        return static_cast<uint8_t>((word >> bitIdx) & 1);
-      }
-      default:
-        panic("evalGate on a non-combinational node");
-    }
+    const MacroMem &m = nl.macros()[port.macro];
+    uint64_t addr = busValue(m.reads[port.port].addr);
+    return addr < m.depth ? state.macroWord(port.macro, 0, addr) : 0;
 }
 
 void
 TimedGateSimulator::settle()
 {
-    // Min-heap of (time_ps, net) evaluation events.
+    // Min-heap of (time_ps, net) evaluation events: same-time events run
+    // in net-id order, and each async read data bit is its own event.
     using Event = std::pair<uint32_t, NetId>;
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
         queue;
-
     auto scheduleFanout = [&](NetId src, uint32_t now) {
-        for (NetId g : fanout[src]) {
-            uint32_t delay = nl.node(g).type == CellType::MacroOut
-                                 ? kMacroReadDelayPs
-                                 : delayPsOf(nl.node(g).type);
-            queue.push({now + delay, g});
+        for (uint32_t e = fanoutStart[src]; e < fanoutStart[src + 1]; ++e) {
+            const LoweredGate &g = prog.gates[fanoutOps[e]];
+            uint32_t at = now + delayPs[static_cast<size_t>(g.op)];
+            if (g.op != GateOp::AsyncRead) {
+                queue.push({at, g.out});
+                continue;
+            }
+            for (const auto &bit : prog.asyncReads[g.in0].bits)
+                queue.push({at, bit.second});
         }
     };
-
     for (NetId src : pendingSources)
         scheduleFanout(src, 0);
     pendingSources.clear();
@@ -182,16 +132,13 @@ TimedGateSimulator::settle()
         auto [now, id] = queue.top();
         queue.pop();
         ++eventCount;
-        const GateNode &g = nl.node(id);
-        if (g.dead)
-            continue;
-        if (g.type == CellType::MacroOut &&
-            nl.macros()[g.aux >> 16].syncRead) {
-            continue; // state, not combinational
-        }
-        uint8_t out = evalGate(id);
-        if (out != values[id]) {
-            values[id] = out;
+        const LoweredGate &g = prog.gates[drivers[id].op];
+        uint64_t out = g.op == GateOp::AsyncRead
+                           ? readWord(prog.asyncReads[g.in0]) >>
+                                 drivers[id].bit
+                           : evalOp(g, shadow.data());
+        if ((out & 1) != shadow[id]) {
+            shadow[id] = out & 1;
             ++toggles[id];
             scheduleFanout(id, now);
         }
@@ -213,101 +160,35 @@ TimedGateSimulator::step(uint64_t n)
     for (uint64_t k = 0; k < n; ++k) {
         if (!settled)
             settle();
-
-        for (NetId id : nl.dffs())
-            dffPending[id] = values[nl.node(id).in[0]];
-
-        for (size_t mi = 0; mi < nl.macros().size(); ++mi) {
-            const MacroMem &m = nl.macros()[mi];
-            if (m.syncRead) {
-                for (size_t p = 0; p < m.reads.size(); ++p) {
-                    const auto &port = m.reads[p];
-                    bool en = port.en == kNoNet || values[port.en];
-                    if (!en)
-                        continue;
-                    uint64_t addr = busValue(port.addr);
-                    uint64_t word =
-                        addr < m.depth ? macroContents[mi][addr] : 0;
-                    for (unsigned b = 0; b < m.width; ++b)
-                        syncReadPending[mi][p * m.width + b] =
-                            static_cast<uint8_t>((word >> b) & 1);
-                    ++macroAcc[mi].reads;
-                }
-            } else {
-                macroAcc[mi].reads += m.reads.size();
-            }
+        state.adoptValues(shadow);
+        state.step();
+        for (NetId net : edgeNets)
+            setSource(net, state.netValue(net, 0));
+        // New contents can change async read data with no address toggle:
+        // re-read every port at the pre-settle address and seed the bits
+        // that changed.
+        for (const AsyncReadPort &port : prog.asyncReads) {
+            uint64_t word = readWord(port);
+            for (const auto &[bit, net] : port.bits)
+                toggles[net] += setSource(net, (word >> bit) & 1);
         }
-        for (size_t mi = 0; mi < nl.macros().size(); ++mi) {
-            const MacroMem &m = nl.macros()[mi];
-            for (const auto &port : m.writes) {
-                bool en = port.en == kNoNet || values[port.en];
-                if (!en)
-                    continue;
-                uint64_t addr = busValue(port.addr);
-                if (addr < m.depth)
-                    macroContents[mi][addr] = busValue(port.data);
-                ++macroAcc[mi].writes;
-            }
-        }
-
-        for (NetId id : nl.dffs()) {
-            if (values[id] != dffPending[id]) {
-                values[id] = dffPending[id];
-                ++toggles[id];
-                pendingSources.push_back(id);
-                settled = false;
-            }
-        }
-        for (size_t mi = 0; mi < nl.macros().size(); ++mi) {
-            const MacroMem &m = nl.macros()[mi];
-            if (!m.syncRead)
-                continue;
-            for (size_t p = 0; p < m.reads.size(); ++p) {
-                const auto &port = m.reads[p];
-                bool en = port.en == kNoNet || values[port.en];
-                if (!en)
-                    continue;
-                for (unsigned b = 0; b < m.width; ++b) {
-                    NetId net = port.data[b];
-                    uint8_t v = syncReadPending[mi][p * m.width + b];
-                    if (values[net] != v) {
-                        values[net] = v;
-                        ++toggles[net];
-                        pendingSources.push_back(net);
-                        settled = false;
-                    }
-                }
-            }
-        }
-        // Macro CONTENT changes can alter async read data even when no
-        // address net toggled; re-schedule async data bits.
-        for (size_t mi = 0; mi < nl.macros().size(); ++mi) {
-            const MacroMem &m = nl.macros()[mi];
-            if (m.syncRead)
-                continue;
-            for (const auto &port : m.reads) {
-                for (NetId dataNet : port.data) {
-                    uint8_t v = evalGate(dataNet);
-                    if (values[dataNet] != v) {
-                        values[dataNet] = v;
-                        ++toggles[dataNet];
-                        pendingSources.push_back(dataNet);
-                        settled = false;
-                    }
-                }
-            }
-        }
-
-        ++cycleCount;
     }
+}
+
+const std::vector<uint64_t> &
+TimedGateSimulator::toggleCounts() const
+{
+    state.toggleCounts(0, counts);
+    for (size_t id = 0; id < counts.size(); ++id)
+        counts[id] += toggles[id];
+    return counts;
 }
 
 void
 TimedGateSimulator::clearActivity()
 {
+    state.clearActivity();
     std::fill(toggles.begin(), toggles.end(), 0);
-    macroAcc.assign(nl.macros().size(), MacroStats{});
-    activityStart = cycleCount;
 }
 
 } // namespace gate

@@ -755,7 +755,7 @@ serializeReport(const core::RunStats &run, const core::EnergyReport &rep,
  * executes: 151648763 of the 1207352586 steps a full sweep of this
  * flow evaluates.
  */
-TEST(Differential, Boom2wEnergyReportByteIdenticalAcrossThreadCounts)
+TEST(Differential, Boom2wCompiledParallelReportMatchesCompiled)
 {
     rtl::Design soc = cores::buildSoc(cores::SocConfig::boom2w());
     workloads::Workload wl = workloads::vvadd();

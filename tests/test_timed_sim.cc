@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include "core/harness.h"
+#include "cores/soc.h"
+#include "cores/soc_driver.h"
 #include "gate/gate_sim.h"
 #include "gate/synthesis.h"
 #include "gate/timed_sim.h"
 #include "rtl/builder.h"
 #include "sim/simulator.h"
 #include "stats/rng.h"
+#include "workloads/workloads.h"
 
 namespace strober {
 namespace gate {
@@ -58,6 +62,54 @@ makeSeq()
     b.output("td", b.memReadSync(t, acc.bits(2, 0)));
     return b.finish();
 }
+
+/** FNV-1a 64 over each count's eight little-endian bytes, in net order. */
+uint64_t
+hashCounts(const std::vector<uint64_t> &counts)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint64_t c : counts) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (c >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+uint64_t
+sumCounts(const std::vector<uint64_t> &counts)
+{
+    uint64_t total = 0;
+    for (uint64_t c : counts)
+        total += c;
+    return total;
+}
+
+/** Drives a TimedGateSimulator through the harness protocol, sampling
+ *  every output before each clock edge. */
+class TimedHarness : public core::TargetHarness
+{
+  public:
+    TimedHarness(TimedGateSimulator &s, size_t numOutputs)
+        : sim(s), outs(numOutputs, 0)
+    {
+    }
+    void setInput(size_t port, uint64_t v) override { sim.pokePort(port, v); }
+    uint64_t getOutput(size_t port) const override { return outs[port]; }
+    void
+    clock() override
+    {
+        for (size_t o = 0; o < outs.size(); ++o)
+            outs[o] = sim.peekPort(o);
+        sim.step();
+    }
+    uint64_t cycles() const override { return sim.cycle(); }
+
+  private:
+    TimedGateSimulator &sim;
+    std::vector<uint64_t> outs;
+};
 
 TEST(TimedSim, FunctionallyIdenticalToZeroDelay)
 {
@@ -116,8 +168,6 @@ TEST(TimedSim, GlitchesIncreaseToggleCounts)
         uint64_t a = rng.nextBounded(1 << 16);
         uint64_t x = rng.nextBounded(1 << 16);
         uint64_t y = rng.nextBounded(1 << 16);
-        for (auto *net : {&a}) // keep operands varied
-            (void)net;
         fast.pokePort(0, a);
         fast.pokePort(1, x);
         fast.pokePort(2, y);
@@ -157,6 +207,61 @@ TEST(TimedSim, QuiescentInputsCauseNoActivity)
     for (uint64_t t : timed.toggleCounts())
         total += t;
     EXPECT_EQ(total, 0u);
+}
+
+// Golden activity: the glitch counts of a fixed stimulus, net by net.
+// They pin the event order (same-time events run in net-id order, one
+// event per async read data bit), the async read re-evaluation after
+// each clock edge, and the per-cell delays.
+TEST(TimedSim, SeqActivityGolden)
+{
+    Design d = makeSeq();
+    SynthesisResult synth = synthesize(d);
+    TimedGateSimulator timed(synth.netlist);
+    stats::Rng rng(21);
+    for (int cycle = 0; cycle < 250; ++cycle) {
+        timed.pokePort(0, rng.nextBounded(256));
+        timed.pokePort(1, rng.nextBounded(2));
+        for (size_t o = 0; o < synth.netlist.outputs().size(); ++o)
+            timed.peekPort(o);
+        timed.step();
+    }
+    EXPECT_EQ(sumCounts(timed.toggleCounts()), 12399u);
+    EXPECT_EQ(hashCounts(timed.toggleCounts()), 0x7bb2d322b38b9c08ull);
+    ASSERT_EQ(timed.macroStats().size(), 2u);
+    EXPECT_EQ(timed.macroStats()[0].reads, 250u);
+    EXPECT_EQ(timed.macroStats()[0].writes, 146u);
+    EXPECT_EQ(timed.macroStats()[1].reads, 250u);
+    EXPECT_EQ(timed.macroStats()[1].writes, 146u);
+    EXPECT_EQ(timed.activityCycles(), 250u);
+}
+
+// The glitch-power ablation's window: rocket running dgemm for 2000
+// cycles under the SoC driver's stimulus.
+TEST(TimedSim, RocketDgemmActivityGolden)
+{
+    rtl::Design soc = cores::buildSoc(cores::SocConfig::rocket());
+    workloads::Workload wl = workloads::dgemm();
+    SynthesisResult synth = synthesize(soc);
+    cores::SocDriver driver(soc, wl.program);
+    TimedGateSimulator timed(synth.netlist);
+    timed.clearActivity();
+    TimedHarness harness(timed, synth.netlist.outputs().size());
+    core::runLoop(harness, driver, 2000);
+
+    const std::vector<uint64_t> &counts = timed.toggleCounts();
+    EXPECT_EQ(sumCounts(counts), 49116u);
+    EXPECT_EQ(hashCounts(counts), 0x682c49848a704290ull);
+    std::vector<uint64_t> macroCounts;
+    for (const MacroStats &m : timed.macroStats()) {
+        macroCounts.push_back(m.reads);
+        macroCounts.push_back(m.writes);
+    }
+    EXPECT_EQ(macroCounts,
+              (std::vector<uint64_t>{2000, 15, 2000, 15, 2000, 15, 2000, 15,
+                                     4000, 24, 2000, 2, 2000, 2, 2000, 2,
+                                     2000, 2}));
+    EXPECT_EQ(timed.activityCycles(), 2000u);
 }
 
 } // namespace

@@ -1,11 +1,12 @@
 /**
  * @file
  * Checked parsing of flag values, shared by the strober, strober-farm
- * and strober-serve command lines. A value that is not a plain number
- * (or duration), carries trailing junk, is negative or does not fit
- * the flag's type ends the process with exit code 2, the usage-error
- * code, and a message naming the flag, instead of an uncaught
- * std::invalid_argument or a "-1" that wraps to 2^32 - 1.
+ * and strober-serve command lines. A flag given last with no value, or
+ * a value that is not a plain number (or duration), carries trailing
+ * junk, is negative or does not fit the flag's type, ends the process
+ * with exit code 2, the usage-error code, and a message naming the
+ * flag, instead of an uncaught std::invalid_argument or a "-1" that
+ * wraps to 2^32 - 1.
  */
 
 #ifndef STROBER_TOOLS_CLI_ARGS_H
@@ -19,11 +20,24 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "util/env.h"
 
 namespace strober {
 namespace cli {
+
+/** @return the value after flag @p args[@p i], advancing @p i to it, or
+ *  exit 2 when the flag is the last argument. */
+inline const std::string &
+nextValue(const std::vector<std::string> &args, size_t &i)
+{
+    if (i + 1 >= args.size()) {
+        std::fprintf(stderr, "%s: needs a value\n", args[i].c_str());
+        std::exit(2);
+    }
+    return args[++i];
+}
 
 /** @return @p text as a base-10 integer of type T (unsigned), or exit
  *  2 naming @p flag. */

@@ -515,39 +515,43 @@ main(int argc, char **argv)
         return 2;
     }
     std::string cmd = argv[1];
+    std::vector<std::string> args(argv, argv + argc);
     if (cmd == "info")
         return cmdInfo();
     if (cmd == "run") {
         RunOptions opts;
         std::vector<std::string> positional;
-        for (int i = 2; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg == "--max-dropped-snapshots" && i + 1 < argc) {
+        for (size_t i = 2; i < args.size(); ++i) {
+            const std::string &arg = args[i];
+            const char *flag = arg.c_str();
+            if (arg == "--max-dropped-snapshots") {
                 opts.maxDroppedSnapshots =
-                    cli::unsignedArg<size_t>(arg.c_str(), argv[++i]);
-            } else if (arg == "--replay-timeout" && i + 1 < argc) {
+                    cli::unsignedArg<size_t>(flag, cli::nextValue(args, i));
+            } else if (arg == "--replay-timeout") {
                 opts.replayTimeoutCycles =
-                    cli::unsignedArg<uint64_t>(arg.c_str(), argv[++i]);
-            } else if ((arg == "--jobs" || arg == "-j") && i + 1 < argc) {
-                opts.jobs = cli::unsignedArg<unsigned>(arg.c_str(), argv[++i]);
-            } else if (arg == "--cache-dir" && i + 1 < argc) {
-                opts.cacheDir = argv[++i];
-            } else if (arg == "--stimulus" && i + 1 < argc) {
-                opts.stimulus = argv[++i];
-            } else if (arg == "--dump-stimulus" && i + 1 < argc) {
-                opts.dumpStimulus = argv[++i];
-            } else if (arg == "--report" && i + 1 < argc) {
-                opts.reportFile = argv[++i];
+                    cli::unsignedArg<uint64_t>(flag, cli::nextValue(args, i));
+            } else if (arg == "--jobs" || arg == "-j") {
+                opts.jobs =
+                    cli::unsignedArg<unsigned>(flag, cli::nextValue(args, i));
+            } else if (arg == "--cache-dir") {
+                opts.cacheDir = cli::nextValue(args, i);
+            } else if (arg == "--stimulus") {
+                opts.stimulus = cli::nextValue(args, i);
+            } else if (arg == "--dump-stimulus") {
+                opts.dumpStimulus = cli::nextValue(args, i);
+            } else if (arg == "--report") {
+                opts.reportFile = cli::nextValue(args, i);
             } else if (arg == "--stream") {
                 opts.stream = true;
-            } else if (arg == "--ci-bound" && i + 1 < argc) {
-                opts.ciBound = cli::positiveArg(arg.c_str(), argv[++i]);
-            } else if (arg == "--backend" && i + 1 < argc) {
-                if (!sim::parseBackend(argv[++i], &opts.backend)) {
+            } else if (arg == "--ci-bound") {
+                opts.ciBound = cli::positiveArg(flag, cli::nextValue(args, i));
+            } else if (arg == "--backend") {
+                const std::string &name = cli::nextValue(args, i);
+                if (!sim::parseBackend(name, &opts.backend)) {
                     std::fprintf(stderr,
                                  "unknown backend '%s' (full | activity "
                                  "| compiled | compiled-parallel)\n",
-                                 argv[i]);
+                                 name.c_str());
                     return 2;
                 }
             } else if (arg.rfind("--", 0) == 0) {
@@ -570,12 +574,12 @@ main(int argc, char **argv)
     if (cmd == "truth") {
         std::string stimulus, saifFile;
         std::vector<std::string> positional;
-        for (int i = 2; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg == "--stimulus" && i + 1 < argc) {
-                stimulus = argv[++i];
-            } else if (arg == "--saif" && i + 1 < argc) {
-                saifFile = argv[++i];
+        for (size_t i = 2; i < args.size(); ++i) {
+            const std::string &arg = args[i];
+            if (arg == "--stimulus") {
+                stimulus = cli::nextValue(args, i);
+            } else if (arg == "--saif") {
+                saifFile = cli::nextValue(args, i);
             } else if (arg.rfind("--", 0) == 0) {
                 std::fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
                 usage();

@@ -722,9 +722,7 @@ parseCommon(const std::vector<std::string> &args, FarmCliOptions &opts,
         const std::string &arg = args[i];
         const char *flag = arg.c_str();
         auto next = [&]() -> const std::string & {
-            if (i + 1 >= args.size())
-                fatal("flag '%s' needs a value", flag);
-            return args[++i];
+            return cli::nextValue(args, i);
         };
         if (arg == "--dir") {
             opts.dir = next();

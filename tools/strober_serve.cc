@@ -466,9 +466,7 @@ main(int argc, char **argv)
         const std::string &arg = args[i];
         const char *flag = arg.c_str();
         auto next = [&]() -> const std::string & {
-            if (i + 1 >= args.size())
-                fatal("flag '%s' needs a value", flag);
-            return args[++i];
+            return cli::nextValue(args, i);
         };
         if (arg == "--socket") {
             dcfg.socketPath = next();
